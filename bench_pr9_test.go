@@ -1,6 +1,6 @@
 // PR9 benches: the tiered segment store against the in-memory backend on a
-// 100k-entry corpus, same sliced+probes configuration and the half-hit/
-// half-miss query mix of the PR-8 benches. Two properties are on the line:
+// 100k-entry corpus, both on the default posting-kernel engine, with the
+// half-hit/half-miss query mix of the PR-8 benches. Two properties are on the line:
 // identify latency off the mmap'd segments must stay interactive (p99 within
 // 3× of the all-heap backend), and the tiered engine's resident heap must
 // stay a small fraction of the corpus (< 25%), because flushed fingerprints
@@ -58,10 +58,7 @@ func pr9Backends(b testing.TB) *pr9Fixture {
 	b.Helper()
 	pr9Once.Do(func() {
 		f := &pr9Fixture{}
-		dbCfg := store.DBConfig{
-			Threshold: fingerprint.DefaultThreshold,
-			Sliced:    true, Probes: true, Workers: 4,
-		}
+		dbCfg := store.DBConfig{Threshold: fingerprint.DefaultThreshold}
 		dir, err := os.MkdirTemp("", "bench-pr9")
 		if err != nil {
 			pr9Err = err

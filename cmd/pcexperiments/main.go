@@ -495,7 +495,6 @@ func specs(scale string, scattered bool, workers int) []runner.Spec {
 			if small {
 				p = experiment.SmallScale1MParams()
 			}
-			p.Workers = workers
 			r, err := experiment.RunScale1M(p)
 			if err != nil {
 				return err

@@ -122,9 +122,7 @@ func run(args []string) (err error) {
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, "match threshold (0: take it from the seed database)")
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
-	plain := fs.Bool("plain", false, "disable the per-shard LSH indexes (dense-scan shards)")
-	sliced := fs.Bool("sliced", false, "bit-sliced per-shard verification (block kernel + pruned fallback scans)")
-	probes := fs.Bool("probes", false, "multi-probe LSH candidate expansion (near-miss buckets)")
+	plain := fs.Bool("plain", false, "dense-scan every shard and segment instead of the exact posting kernel (the oracle)")
 	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
 	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
 	maxBatch := fs.Int("batch.max", 0, fmt.Sprintf("max identify queries per dispatch (0: %d)", server.DefaultMaxBatch))
@@ -267,8 +265,6 @@ func run(args []string) (err error) {
 		Threshold:      *threshold,
 		Shards:         *shards,
 		Plain:          *plain,
-		Sliced:         *sliced,
-		Probes:         *probes,
 		Workers:        *workers,
 		BatchWindow:    *batchWindow,
 		MaxBatch:       *maxBatch,
@@ -382,6 +378,10 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	// Signals are caught before the listening line announces readiness, so
+	// a SIGTERM sent as soon as that line appears drains instead of killing.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	st := svc.DB().Stats()
 	fmt.Printf("pcserved: listening on %s (%d entries, %d shards)\n", ln.Addr(), st.Entries, len(st.PerShard))
 
@@ -389,8 +389,6 @@ func run(args []string) (err error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-stop:
 		fmt.Printf("pcserved: %s, draining\n", sig)
@@ -514,12 +512,12 @@ func runRouter(addr, backendList string, probe time.Duration, failoverAfter, ret
 	if err != nil {
 		return err
 	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	fmt.Printf("pcserved: router listening on %s (%d backends)\n", ln.Addr(), len(strings.Split(backendList, ",")))
 	httpSrv := &http.Server{Handler: router.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-stop:
 		fmt.Printf("pcserved: %s, draining\n", sig)
@@ -570,12 +568,12 @@ func runScatterRouter(addr, spec string, probe time.Duration, failoverAfter, ret
 	if err != nil {
 		return err
 	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	fmt.Printf("pcserved: scatter router listening on %s (%d partitions)\n", ln.Addr(), pmap.Len())
 	httpSrv := &http.Server{Handler: sr.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-stop:
 		fmt.Printf("pcserved: %s, draining\n", sig)

@@ -67,26 +67,27 @@ type SlicedBlock struct {
 
 // NewSlicedBlock returns an empty block of width b for nbits-bit entries.
 // External packers (the segment writer in internal/store) use it to build
-// the interleaved layout once, then persist Words/Union verbatim.
+// the interleaved layout once, then persist Words verbatim.
 func NewSlicedBlock(nbits, b int) *SlicedBlock { return newSlicedBlock(nbits, b) }
 
 // ViewSlicedBlock wraps externally owned storage — typically sections of an
 // mmap'd segment file — as a read-only SlicedBlock: words is the
-// word-interleaved array (words[w*b + j], len wordsPerEntry*b), union the
-// OR-union words (len wordsPerEntry), cards the n per-entry cardinalities.
-// The slices are aliased, not copied, so the block reads straight from the
-// mapping; Add on a view panics by way of the full-block check when n == b,
-// and must not be called otherwise.
-func ViewSlicedBlock(nbits, b, n int, words, union []uint64, cards []int) *SlicedBlock {
+// word-interleaved array (words[w*b + j], len wordsPerEntry*b), cards the n
+// per-entry cardinalities. The slices are aliased, not copied, so the block
+// reads straight from the mapping; Add on a view panics by way of the
+// full-block check when n == b, and must not be called otherwise. A view
+// carries no OR-union, so UnionAndCount panics on it: views are swept,
+// never pruned.
+func ViewSlicedBlock(nbits, b, n int, words []uint64, cards []int) *SlicedBlock {
 	if nbits < 0 || b <= 0 || n < 0 || n > b {
 		panic(fmt.Sprintf("bitset: sliced view shape nbits=%d B=%d n=%d", nbits, b, n))
 	}
 	wpw := (nbits + wordBits - 1) / wordBits
-	if len(words) != wpw*b || len(union) != wpw || len(cards) != n {
-		panic(fmt.Sprintf("bitset: sliced view lengths words=%d union=%d cards=%d (want %d, %d, %d)",
-			len(words), len(union), len(cards), wpw*b, wpw, n))
+	if len(words) != wpw*b || len(cards) != n {
+		panic(fmt.Sprintf("bitset: sliced view lengths words=%d cards=%d (want %d, %d)",
+			len(words), len(cards), wpw*b, n))
 	}
-	blk := &SlicedBlock{b: b, n: n, nbits: nbits, wordsPW: wpw, words: words, union: union, cards: cards}
+	blk := &SlicedBlock{b: b, n: n, nbits: nbits, wordsPW: wpw, words: words, cards: cards}
 	for j, c := range cards {
 		if j == 0 || c < blk.minCard {
 			blk.minCard = c
@@ -149,6 +150,9 @@ func (blk *SlicedBlock) Add(s *Set) int {
 // |q ∩ e_j| for every member j, computed in one pass over the block union.
 func (blk *SlicedBlock) UnionAndCount(q *Set) int {
 	blk.checkQuery(q)
+	if blk.union == nil {
+		panic("bitset: UnionAndCount on a view, which carries no union")
+	}
 	c := 0
 	for w, uw := range blk.union {
 		c += bits.OnesCount64(uw & q.words[w])
@@ -219,9 +223,6 @@ func (blk *SlicedBlock) MinCardAndNotCountOne(q *Set, j int) KernelResult {
 // Words returns the word-interleaved backing array (shared, not copied):
 // words[w*Cap() + j] is word w of entry j. Segment writers persist it.
 func (blk *SlicedBlock) Words() []uint64 { return blk.words }
-
-// Union returns the OR-union words (shared, not copied).
-func (blk *SlicedBlock) Union() []uint64 { return blk.union }
 
 func (blk *SlicedBlock) checkQuery(q *Set) {
 	if q.n != blk.nbits {

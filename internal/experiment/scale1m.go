@@ -39,10 +39,7 @@ type Scale1MParams struct {
 	Seed      uint64
 	// Dir is the engine directory; empty selects a removed-on-return temp dir.
 	Dir string
-	// Workers bounds index-build signing; Probes/BlockEntries tune the
-	// sliced query path exactly as in ScaleParams.
-	Workers      int
-	Probes       bool
+	// BlockEntries sizes the segments' sliced blocks; 0 selects the default.
 	BlockEntries int
 	// MaxHeapFrac fails the run when post-flush resident heap exceeds this
 	// fraction of the corpus bytes; 0 selects 1.0 (heap strictly below the
@@ -65,7 +62,6 @@ func DefaultScale1MParams() Scale1MParams {
 		Queries:         200,
 		Threshold:       fingerprint.DefaultThreshold,
 		Seed:            0x5CA1E13,
-		Probes:          true,
 	}
 }
 
@@ -132,8 +128,7 @@ func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 			CompactSegments: p.CompactSegments,
 		},
 		store.DBConfig{
-			Threshold: p.Threshold, Sliced: true, Probes: p.Probes,
-			Workers: p.Workers, BlockEntries: p.BlockEntries,
+			Threshold: p.Threshold, BlockEntries: p.BlockEntries,
 		})
 	if err != nil {
 		return nil, err

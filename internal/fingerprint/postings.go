@@ -1,0 +1,128 @@
+// postings.go: the exact posting-list kernel every serving tier decides
+// with — memory shards here, mmap'd segment files in internal/store.
+package fingerprint
+
+import (
+	"sync"
+
+	"probablecause/internal/obs"
+)
+
+// cPostingsTouched counts the posting-list entries the kernel visited. It is
+// added once per decision (the sum over the decision's shards), never per
+// posting, so the counter costs one atomic add on the hot path.
+var cPostingsTouched = obs.C("fingerprint.postings.touched")
+
+// PostingView is one component the posting kernel scores — a memory shard
+// or a segment file — addressed by local entry index 0..len(Cards)-1.
+//
+// Algorithm 3 needs one number per (query, entry) pair beyond the cached
+// cardinalities: the intersection |q∩e|, because the difference count of
+// whichever set is smaller is min(|q|,|e|) − |q∩e|. Per-bit-position lists
+// of entry indices give every intersection exactly by walking only the
+// query's positions, at any query error level and with no candidate stage
+// (DESIGN.md §15).
+type PostingView struct {
+	// Cards holds every local entry's cardinality, tombstoned ones included.
+	Cards []int
+	// Dead flags tombstoned entries; nil when none is.
+	Dead []bool
+	// List returns the local indices of the entries with bit p set; each
+	// index appears at most once per list. Positions no entry carries (or
+	// beyond the component's bit length) return nil.
+	List func(p uint32) []uint32
+	// ID maps a local index to its add-order id, the tie-break key. It is
+	// called only for sub-threshold entries and distance ties.
+	ID func(i int) int
+}
+
+// Score is the kernel's answer over one component, in local indices.
+type Score struct {
+	// Best is the (distance, id)-minimum live entry; -1 when none is live.
+	Best int
+	// Distance is Best's Algorithm 3 distance; 2 when Best is -1.
+	Distance float64
+	// Matches counts live entries under the threshold.
+	Matches int
+	// First is the minimum-id live entry under the threshold (Algorithm 2's
+	// accept); -1 when none matches.
+	First int
+	// Touched counts the posting entries the accumulation visited.
+	Touched int
+}
+
+// scratchPool recycles the per-query intersection counts. Counts are uint32
+// because an intersection is bounded by the smaller cardinality, and
+// fingerprints may be as wide as the serving layer's 2^26-bit MaxLenBits —
+// a uint16 would wrap above 65,535 shared bits. Every query leaves its
+// counts zeroed for the next.
+var scratchPool = sync.Pool{New: func() any { return new([]uint32) }}
+
+// ScorePostings runs the exact posting-list kernel over one component: it
+// accumulates |q∩e| for every entry from the lists of the query's positions
+// q (ascending, as bitset.Set.Positions returns them), then makes one pass
+// over the cached cardinalities deriving each distance exactly as Algorithm
+// 3 does — float64(n−inter)/float64(n) with n = min(|q|,|e|) is the same
+// integer division distance() performs, degenerate cases included — so
+// every distance, and with it every verdict, is bit-identical to a dense
+// scan (DESIGN.md §15).
+func ScorePostings(v PostingView, q []uint32, threshold float64) Score {
+	buf := scratchPool.Get().(*[]uint32)
+	if cap(*buf) < len(v.Cards) {
+		*buf = make([]uint32, len(v.Cards))
+	}
+	counts := (*buf)[:len(v.Cards)]
+	s := Score{Best: -1, Distance: 2, First: -1}
+	for _, p := range q {
+		l := v.List(p)
+		s.Touched += len(l)
+		for _, e := range l {
+			counts[e]++
+		}
+	}
+	qc := len(q)
+	for i, inter := range counts {
+		if v.Dead != nil && v.Dead[i] {
+			continue
+		}
+		d := kernelDist(v.Cards[i], qc, int(inter))
+		if d < threshold {
+			s.Matches++
+			if s.First < 0 || v.ID(i) < v.ID(s.First) {
+				s.First = i
+			}
+		}
+		if d < s.Distance || (d == s.Distance && v.ID(i) < v.ID(s.Best)) {
+			s.Best, s.Distance = i, d
+		}
+	}
+	clear(counts)
+	scratchPool.Put(buf)
+	return s
+}
+
+// kernelDist is distance() from cardinalities and the intersection count:
+// the smaller set's difference count is n − inter, divided by n, with
+// Distance's degenerate cases for an empty smaller set.
+func kernelDist(card, qc, inter int) float64 {
+	n, m := card, qc
+	if n > m {
+		n, m = m, n
+	}
+	if n == 0 {
+		if m == 0 {
+			return 0
+		}
+		return 1
+	}
+	return float64(n-inter) / float64(n)
+}
+
+// RecordTouched adds one decision's posting count to the
+// fingerprint.postings.touched counter — the single add per decision the
+// storage engine makes for its segment sweep.
+func RecordTouched(n int) {
+	if obs.On() {
+		cPostingsTouched.Add(int64(n))
+	}
+}

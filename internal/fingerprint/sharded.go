@@ -31,27 +31,14 @@ const DefaultShards = 8
 type ShardedConfig struct {
 	// Shards is the number of shards; 0 selects DefaultShards.
 	Shards int
-	// Index configures the per-shard LSH index (scheme, fallback, build
-	// workers). The zero value selects minhash.DefaultScheme with the
-	// verified fallback on.
-	Index IndexedConfig
-	// Plain disables the per-shard LSH indexes: every shard answers by dense
-	// scan. The ablation configuration, and the strictest correctness
-	// baseline (no index-recall caveats at all).
+	// Plain drops the per-shard posting lists: every shard answers by dense
+	// Algorithm 2/3 scan of its DB. The ablation configuration, and the
+	// dense-scan oracle the equivalence suites compare against.
 	Plain bool
-	// Sliced puts the bit-sliced verification backend on every shard: the
-	// per-shard fallback scan runs over a band-major SlicedArena with block
-	// pruning instead of the entry slice (see SlicedDB). Verdicts are
-	// unchanged; only the miss path gets faster. Mutually exclusive with
-	// Plain.
-	Sliced bool
-	// BlockEntries is the sliced block width B when Sliced is set; 0 selects
-	// bitset.DefaultSlicedEntries.
-	BlockEntries int
 	// RebuildMinDead is the per-shard tombstone count at which Remove
-	// physically compacts the shard (drops dead entries and rebuilds the LSH
-	// index and sliced arena). Below it, Remove only tombstones — O(1) instead
-	// of O(shard size) — and lookups skip the dead entries. 0 selects
+	// physically compacts the shard (drops dead entries and rebuilds its
+	// posting lists). Below it, Remove only tombstones — O(1) instead of
+	// O(shard size) — and lookups skip the dead entries. 0 selects
 	// DefaultRebuildMinDead; 1 restores the eager rebuild-per-Remove behavior.
 	RebuildMinDead int
 }
@@ -63,11 +50,17 @@ type ShardedConfig struct {
 const DefaultRebuildMinDead = 64
 
 // ShardedDB distributes a fingerprint database over N shards, each an
-// independently locked (Indexed)DB, so concurrent adds and lookups scale
-// across cores: queries take per-shard read locks and mutations write-lock
-// only the one shard owning the entry. Entries are assigned to shards by a
-// hash folded over the MinHash signature's band keys — the same signature
-// the per-shard LSH index stores, computed once per Add.
+// independently locked DB with per-bit-position posting lists, so concurrent
+// adds and lookups scale across cores: queries take per-shard read locks and
+// mutations write-lock only the one shard owning the entry. Entries are
+// assigned to shards by a hash folded over the MinHash signature's band
+// keys (minhash.DefaultScheme), computed once per Add.
+//
+// Every shard decides with the exact posting-list kernel (ScorePostings):
+// one intersection count per entry from the lists of the query's positions,
+// then Algorithm 3's division on the cached cardinalities. There is no
+// candidate stage and no fallback sweep, so every verdict — Matches
+// included — is exact, whatever the query's error level.
 //
 // Determinism contract: a ShardedDB built by any interleaving of the same
 // Add sequence answers Decide/Identify/IdentifyBest exactly as the plain DB
@@ -76,13 +69,10 @@ const DefaultRebuildMinDead = 64
 // DB slice index when nothing was removed). Cross-shard combination is by
 // (distance, id) lexicographic minimum for best-match decisions and minimum
 // id for first-match decisions, which reproduces the dense scan's
-// first-strictly-better / first-on-tie behavior. On indexed shards the
-// per-shard answers inherit IndexedDB's contract (verified fallback; with
-// several sub-threshold entries the Matches count inspects candidates only).
+// first-strictly-better / first-on-tie behavior.
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
-	scheme    minhash.Scheme
 	shards    []*dbShard
 
 	mu       sync.Mutex       // serializes mutations and the name bookkeeping
@@ -93,37 +83,99 @@ type ShardedDB struct {
 	rebuilds atomic.Int64 // physical shard compactions triggered by Remove
 }
 
-// dbShard is one shard: a plain DB, its optional LSH-indexed view, the
-// optional bit-sliced view over the same index, and the local-index →
-// add-order-id mapping.
+// dbShard is one shard: a plain DB, the local-index → add-order-id mapping,
+// and — unless the shard is plain — the cached cardinalities and posting
+// lists the kernel reads.
 type dbShard struct {
-	mu  sync.RWMutex
-	db  *DB
-	ix  *IndexedDB // nil when ShardedConfig.Plain; sx.x when ShardedConfig.Sliced
-	sx  *SlicedDB  // nil unless ShardedConfig.Sliced
-	ids []int
+	mu    sync.RWMutex
+	db    *DB
+	ids   []int
+	cards []int
+	post  *postingDir // nil on plain shards
 }
 
-// build constructs the shard's indexed (and sliced) views over its DB,
-// used at construction and after a Remove rebuild.
-func (sh *dbShard) build(cfg ShardedConfig) error {
-	if cfg.Plain {
-		return nil
-	}
-	if cfg.Sliced {
-		sx, err := SliceDB(sh.db, SlicedConfig{Index: cfg.Index, BlockEntries: cfg.BlockEntries})
-		if err != nil {
-			return err
+// denseDirBits is the widest fingerprint a posting directory indexes by a
+// dense per-position table. A dense header costs 24 bytes per bit position
+// per shard whether or not any entry sets it — 768 KiB at a 4 KiB page's
+// 32,768 bits — which undercuts a hash map's per-used-position cost once
+// most positions are in use, as they are at the paper's densities. Wider
+// sets (MaxLenBits admits 2^26 bits, where a dense table would cost 1.5 GiB
+// per shard on the first Add) switch the directory to a map, whose headers
+// grow only with the positions actually set.
+const denseDirBits = 1 << 15
+
+// postingDir maps a bit position to the local indices of the entries
+// carrying it, in add order.
+type postingDir struct {
+	dense  [][]uint32          // by position, while every set is ≤ denseDirBits wide
+	sparse map[uint32][]uint32 // once a wider set arrived
+}
+
+// add appends local to the list of every position fp sets.
+func (d *postingDir) add(local uint32, fp *bitset.Set) {
+	if d.sparse == nil && fp.Len() > denseDirBits {
+		d.sparse = make(map[uint32][]uint32)
+		for p, l := range d.dense {
+			if len(l) > 0 {
+				d.sparse[uint32(p)] = l
+			}
 		}
-		sh.sx, sh.ix = sx, sx.x
-		return nil
+		d.dense = nil
 	}
-	ix, err := IndexDB(sh.db, cfg.Index)
-	if err != nil {
-		return err
+	if d.sparse == nil && len(d.dense) < fp.Len() {
+		d.dense = append(d.dense, make([][]uint32, fp.Len()-len(d.dense))...)
 	}
-	sh.ix = ix
+	fp.ForEach(func(p int) bool {
+		if d.sparse != nil {
+			d.sparse[uint32(p)] = append(d.sparse[uint32(p)], local)
+		} else {
+			d.dense[p] = append(d.dense[p], local)
+		}
+		return true
+	})
+}
+
+// list returns position p's entries (nil when none sets it).
+func (d *postingDir) list(p uint32) []uint32 {
+	if d.sparse != nil {
+		return d.sparse[p]
+	}
+	if int(p) < len(d.dense) {
+		return d.dense[p]
+	}
 	return nil
+}
+
+func newShard(threshold float64, plain bool) *dbShard {
+	sh := &dbShard{db: NewDB(threshold)}
+	if !plain {
+		sh.post = new(postingDir)
+	}
+	return sh
+}
+
+// add appends one entry to the shard (caller holds sh.mu).
+func (sh *dbShard) add(id int, name string, fp *bitset.Set) {
+	local := uint32(len(sh.db.entries))
+	sh.db.Add(name, fp)
+	sh.ids = append(sh.ids, id)
+	if sh.post != nil {
+		sh.cards = append(sh.cards, fp.Count())
+		sh.post.add(local, fp)
+	}
+}
+
+// view exposes the shard to the posting kernel (caller holds sh.mu).
+func (sh *dbShard) view() PostingView {
+	v := PostingView{
+		Cards: sh.cards,
+		List:  sh.post.list,
+		ID:    func(i int) int { return sh.ids[i] },
+	}
+	if sh.db.deadCount > 0 {
+		v.Dead = sh.db.dead
+	}
+	return v
 }
 
 // NewShardedDB returns an empty sharded database using the given
@@ -135,15 +187,6 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("fingerprint: shard count %d", cfg.Shards)
 	}
-	if cfg.Index.Scheme == (minhash.Scheme{}) {
-		cfg.Index.Scheme = minhash.DefaultScheme
-	}
-	if err := cfg.Index.Scheme.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Plain && cfg.Sliced {
-		return nil, fmt.Errorf("fingerprint: Plain and Sliced are mutually exclusive")
-	}
 	if cfg.RebuildMinDead == 0 {
 		cfg.RebuildMinDead = DefaultRebuildMinDead
 	}
@@ -153,16 +196,11 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 	s := &ShardedDB{
 		threshold: threshold,
 		cfg:       cfg,
-		scheme:    cfg.Index.Scheme,
 		shards:    make([]*dbShard, cfg.Shards),
 		names:     make(map[string][]int),
 	}
 	for i := range s.shards {
-		sh := &dbShard{db: NewDB(threshold)}
-		if err := sh.build(cfg); err != nil {
-			return nil, err
-		}
-		s.shards[i] = sh
+		s.shards[i] = newShard(threshold, cfg.Plain)
 	}
 	return s, nil
 }
@@ -195,10 +233,12 @@ func (s *ShardedDB) Len() int { return int(s.count.Load()) }
 // verdict.
 func (s *ShardedDB) Generation() int64 { return s.gen.Load() }
 
-// shardFor folds the signature's band keys into a shard assignment.
-func (s *ShardedDB) shardFor(sig minhash.Signature) int {
+// shardFor folds the fingerprint's signature band keys into a shard
+// assignment.
+func (s *ShardedDB) shardFor(fp *bitset.Set) int {
+	scheme := minhash.DefaultScheme
 	h := uint64(0x5113A6DE)
-	for _, k := range s.scheme.BandKeys(sig) {
+	for _, k := range scheme.BandKeys(scheme.Sign(bitset.Sparse(fp.Positions()))) {
 		h = prng.Mix64(h ^ k)
 	}
 	return int(h % uint64(len(s.shards)))
@@ -209,29 +249,11 @@ func (s *ShardedDB) shardFor(sig minhash.Signature) int {
 // permitted; Get and Remove address the earliest-added live entry under
 // the name.
 func (s *ShardedDB) Add(name string, fp *bitset.Set) int {
-	sig := s.scheme.Sign(bitset.Sparse(fp.Positions()))
-	si := s.shardFor(sig)
+	si := s.shardFor(fp)
 	s.mu.Lock()
 	id := s.nextID
-	s.nextID++
-	s.names[name] = append(s.names[name], si)
-	sh := s.shards[si]
-	sh.mu.Lock()
-	if sh.ix != nil {
-		sh.ix.index.Add(sig, len(sh.db.entries))
-	}
-	sh.db.Add(name, fp)
-	if sh.sx != nil {
-		sh.sx.arena.Add(fp)
-	}
-	sh.ids = append(sh.ids, id)
-	sh.mu.Unlock()
-	s.count.Add(1)
-	s.gen.Add(1)
+	s.addLocked(si, id, name, fp)
 	s.mu.Unlock()
-	if obs.On() {
-		cShardAdds.Inc()
-	}
 	return id
 }
 
@@ -243,27 +265,24 @@ func (s *ShardedDB) Add(name string, fp *bitset.Set) int {
 // meaningless. nextID advances past the explicit id so later plain Adds
 // never collide. The caller owns id uniqueness.
 func (s *ShardedDB) AddWithID(id int, name string, fp *bitset.Set) {
-	sig := s.scheme.Sign(bitset.Sparse(fp.Positions()))
-	si := s.shardFor(sig)
+	si := s.shardFor(fp)
 	s.mu.Lock()
+	s.addLocked(si, id, name, fp)
+	s.mu.Unlock()
+}
+
+// addLocked places one entry under id in shard si (caller holds s.mu).
+func (s *ShardedDB) addLocked(si, id int, name string, fp *bitset.Set) {
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
 	s.names[name] = append(s.names[name], si)
 	sh := s.shards[si]
 	sh.mu.Lock()
-	if sh.ix != nil {
-		sh.ix.index.Add(sig, len(sh.db.entries))
-	}
-	sh.db.Add(name, fp)
-	if sh.sx != nil {
-		sh.sx.arena.Add(fp)
-	}
-	sh.ids = append(sh.ids, id)
+	sh.add(id, name, fp)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.gen.Add(1)
-	s.mu.Unlock()
 	if obs.On() {
 		cShardAdds.Inc()
 	}
@@ -309,7 +328,7 @@ func (s *ShardedDB) Remove(name string) bool {
 	local := sh.db.byName[name]
 	sh.db.kill(local)
 	if sh.db.deadCount >= s.cfg.RebuildMinDead {
-		sh.compact(s.cfg, s.threshold)
+		sh.compact(s.threshold)
 		s.rebuilds.Add(1)
 	}
 	sh.mu.Unlock()
@@ -322,24 +341,17 @@ func (s *ShardedDB) Remove(name string) bool {
 }
 
 // compact drops the shard's tombstoned entries: live entries move to a fresh
-// DB in local order, the add-order id mapping is remapped alongside, and the
-// LSH index and sliced arena are rebuilt over the survivors (O(shard size),
-// amortized over RebuildMinDead tombstone-only Removes). Caller holds sh.mu.
-func (sh *dbShard) compact(cfg ShardedConfig, threshold float64) {
-	ndb := NewDB(threshold)
-	nids := make([]int, 0, len(sh.ids)-sh.db.deadCount)
+// shard in local order with their add-order ids, and the posting lists are
+// rebuilt over the survivors (O(shard size), amortized over RebuildMinDead
+// tombstone-only Removes). Caller holds sh.mu.
+func (sh *dbShard) compact(threshold float64) {
+	fresh := newShard(threshold, sh.post == nil)
 	for i, e := range sh.db.entries {
-		if !sh.db.alive(i) {
-			continue
+		if sh.db.alive(i) {
+			fresh.add(sh.ids[i], e.Name, e.FP)
 		}
-		ndb.Add(e.Name, e.FP)
-		nids = append(nids, sh.ids[i])
 	}
-	sh.db, sh.ids, sh.ix, sh.sx = ndb, nids, nil, nil
-	// The scheme was validated at construction, so the build cannot fail here.
-	if err := sh.build(cfg); err != nil {
-		panic("fingerprint: sharded index rebuild: " + err.Error())
-	}
+	sh.db, sh.ids, sh.cards, sh.post = fresh.db, fresh.ids, fresh.cards, fresh.post
 }
 
 // Rebuilds returns the number of physical shard compactions Remove has
@@ -347,44 +359,54 @@ func (sh *dbShard) compact(cfg ShardedConfig, threshold float64) {
 // rebuild until RebuildMinDead removals accumulate.
 func (s *ShardedDB) Rebuilds() int64 { return s.rebuilds.Load() }
 
-// decideRaw answers over one shard without obs verdict counters, mapping the
-// local best index to its add-order id.
-func (sh *dbShard) decideRaw(errorString *bitset.Set) Verdict {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var v Verdict
-	switch {
-	case sh.sx != nil:
-		v = sh.sx.decideRaw(errorString)
-	case sh.ix != nil:
-		v = sh.ix.decideRaw(errorString)
-	default:
-		v = sh.db.decideRaw(errorString)
+// positions returns the query's set positions for the posting kernel, or
+// nil on plain shards, which never read them.
+func (s *ShardedDB) positions(errorString *bitset.Set) []uint32 {
+	if s.cfg.Plain {
+		return nil
 	}
-	if v.Index >= 0 {
-		v.Index = sh.ids[v.Index]
-	}
-	return v
+	return errorString.Positions()
 }
 
-// firstMatch answers Algorithm 2 over one shard, mapping the local index to
-// its add-order id.
-func (sh *dbShard) firstMatch(errorString *bitset.Set) (name string, id int, ok bool) {
+// decideRaw answers over one shard without obs verdict counters, mapping the
+// best local index to its add-order id; touched counts the postings visited.
+func (sh *dbShard) decideRaw(errorString *bitset.Set, qpos []uint32) (v Verdict, touched int) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	var local int
-	switch {
-	case sh.sx != nil:
-		name, local, ok = sh.sx.firstMatch(errorString)
-	case sh.ix != nil:
-		name, local, ok = sh.ix.firstMatch(errorString)
-	default:
-		name, local, ok = sh.db.firstMatch(errorString)
+	if sh.post == nil {
+		v = sh.db.decideRaw(errorString)
+		if v.Index >= 0 {
+			v.Index = sh.ids[v.Index]
+		}
+		return v, 0
 	}
-	if !ok {
-		return "", -1, false
+	sc := ScorePostings(sh.view(), qpos, sh.db.threshold)
+	v = Verdict{Index: -1, Distance: 2, Matches: sc.Matches}
+	if sc.Best >= 0 {
+		v.Name, v.Index, v.Distance = sh.db.entries[sc.Best].Name, sh.ids[sc.Best], sc.Distance
 	}
-	return name, sh.ids[local], true
+	return v, sc.Touched
+}
+
+// firstMatch answers Algorithm 2 over one shard: the minimum-id entry under
+// the threshold as (name, add-order id), with the shard's match count
+// (exact on posting shards; 1 for a plain shard's first hit, which stops
+// scanning there) and the postings visited.
+func (sh *dbShard) firstMatch(errorString *bitset.Set, qpos []uint32) (name string, id, matches, touched int) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.post == nil {
+		name, local, ok := sh.db.firstMatch(errorString)
+		if !ok {
+			return "", -1, 0, 0
+		}
+		return name, sh.ids[local], 1, 0
+	}
+	sc := ScorePostings(sh.view(), qpos, sh.db.threshold)
+	if sc.First < 0 {
+		return "", -1, 0, sc.Touched
+	}
+	return sh.db.entries[sc.First].Name, sh.ids[sc.First], sc.Matches, sc.Touched
 }
 
 // MergeVerdict folds one component's answer into the running cross-component
@@ -406,10 +428,7 @@ func MergeVerdict(v *Verdict, sv Verdict) {
 // (distance, id)-lexicographic best entry and the total sub-threshold match
 // count.
 func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
-	v := Verdict{Index: -1, Distance: 2}
-	for _, sh := range s.shards {
-		MergeVerdict(&v, sh.decideRaw(errorString))
-	}
+	v := s.DecideRaw(errorString)
 	recordVerdict(v)
 	return v
 }
@@ -418,10 +437,15 @@ func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
 // tiered storage engine) that merge this database's answer with other
 // components' before recording one decision.
 func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
+	qpos := s.positions(errorString)
 	v := Verdict{Index: -1, Distance: 2}
+	touched := 0
 	for _, sh := range s.shards {
-		MergeVerdict(&v, sh.decideRaw(errorString))
+		sv, n := sh.decideRaw(errorString, qpos)
+		MergeVerdict(&v, sv)
+		touched += n
 	}
+	RecordTouched(touched)
 	return v
 }
 
@@ -429,32 +453,49 @@ func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
 // under the threshold, for callers that merge first-match answers across
 // components.
 func (s *ShardedDB) FirstMatch(errorString *bitset.Set) (name string, index int, ok bool) {
+	name, index, _ = s.firstMatch(errorString)
+	return name, index, index >= 0
+}
+
+// firstMatch combines the shards' first matches: the minimum add-order id
+// wins, and matches sums the shards' match counts.
+func (s *ShardedDB) firstMatch(errorString *bitset.Set) (name string, index, matches int) {
+	qpos := s.positions(errorString)
 	index = -1
+	touched := 0
 	for _, sh := range s.shards {
-		n, id, hit := sh.firstMatch(errorString)
-		if hit && (index < 0 || id < index) {
+		n, id, m, t := sh.firstMatch(errorString, qpos)
+		matches += m
+		touched += t
+		if id >= 0 && (index < 0 || id < index) {
 			name, index = n, id
 		}
 	}
-	return name, index, index >= 0
+	RecordTouched(touched)
+	return name, index, matches
 }
 
 // DecideCtx is Decide with request-scoped tracing: when ctx carries a
 // request span (obs.StartRequest), the shard fan-out records one
-// shard.identify child span per shard and a decide span around the
-// cross-shard combine. The verdict is identical to Decide's — spans
-// observe the scan, they never reorder it.
+// shard.identify child span per shard (with the postings it touched) and a
+// decide span around the cross-shard combine. The verdict is identical to
+// Decide's — spans observe the scan, they never reorder it.
 func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict {
 	parent := obs.SpanFrom(ctx)
 	if parent == nil {
 		return s.Decide(errorString)
 	}
+	qpos := s.positions(errorString)
 	svs := make([]Verdict, len(s.shards))
+	touched := 0
 	for i, sh := range s.shards {
 		sp := parent.Child("shard.identify")
 		sp.SetAttr("shard", i)
-		svs[i] = sh.decideRaw(errorString)
+		var n int
+		svs[i], n = sh.decideRaw(errorString, qpos)
+		sp.SetAttr("postings", n)
 		sp.End()
+		touched += n
 	}
 	dsp := parent.Child("decide")
 	v := Verdict{Index: -1, Distance: 2}
@@ -462,34 +503,25 @@ func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verd
 		MergeVerdict(&v, sv)
 	}
 	dsp.End()
+	RecordTouched(touched)
 	recordVerdict(v)
 	return v
 }
 
 // Identify implements Algorithm 2 across the shards: every shard reports its
-// first match and the minimum add-order id wins — the entry the dense scan
-// in add order would have accepted. The obs ambiguity counter fires when
-// matches surface from more than one shard (a lower bound on the true
-// ambiguity, which Decide counts exactly).
+// minimum-id match and the minimum add-order id wins — the entry the dense
+// scan in add order would have accepted. The obs ambiguity counter fires
+// when more than one entry matched (exact on posting shards; on plain
+// shards, which stop at their first hit, when hits surface from more than
+// one shard).
 func (s *ShardedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	index = -1
-	matchedShards := 0
-	for _, sh := range s.shards {
-		n, id, hit := sh.firstMatch(errorString)
-		if !hit {
-			continue
-		}
-		matchedShards++
-		if index < 0 || id < index {
-			name, index = n, id
-		}
-	}
+	name, index, matches := s.firstMatch(errorString)
 	if obs.On() {
 		if index < 0 {
 			cIdentifyMiss.Inc()
 		} else {
 			cIdentifyHit.Inc()
-			if matchedShards > 1 {
+			if matches > 1 {
 				cIdentifyAmbig.Inc()
 			}
 		}
@@ -602,6 +634,6 @@ func (s *ShardedDB) ExportIDs() []IDEntry {
 
 // String renders a small summary for logs.
 func (s *ShardedDB) String() string {
-	return fmt.Sprintf("shardeddb(entries=%d, shards=%d, indexed=%v, sliced=%v)",
-		s.Len(), len(s.shards), !s.cfg.Plain, s.cfg.Sliced)
+	return fmt.Sprintf("shardeddb(entries=%d, shards=%d, indexed=%v)",
+		s.Len(), len(s.shards), !s.cfg.Plain)
 }

@@ -48,18 +48,14 @@ func buildEquivalent(t *testing.T, n int, cfg ShardedConfig) (*DB, *ShardedDB) {
 }
 
 // TestShardedMatchesPlainDB is the core equivalence property: for any shard
-// count, indexed or plain shards, Decide/Identify/IdentifyBest agree with
+// count, posting-indexed or plain shards, Decide/Identify/IdentifyBest agree with
 // the dense-scan DB on matching, missing, and near-miss queries.
 func TestShardedMatchesPlainDB(t *testing.T) {
 	const entries = 60
 	for _, shards := range []int{1, 2, 7, 16} {
-		for _, mode := range []string{"indexed", "plain", "sliced"} {
+		for _, mode := range []string{"indexed", "plain"} {
 			t.Run(fmt.Sprintf("shards=%d_%s", shards, mode), func(t *testing.T) {
 				cfg := ShardedConfig{Shards: shards, Plain: mode == "plain"}
-				if mode == "sliced" {
-					cfg.Sliced = true
-					cfg.BlockEntries = 8 // force multiple blocks with partial tails
-				}
 				db, sh := buildEquivalent(t, entries, cfg)
 				if sh.Len() != db.Len() {
 					t.Fatalf("Len: sharded %d, plain %d", sh.Len(), db.Len())
@@ -244,11 +240,12 @@ func TestShardedConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestShardedSlicedRemoveRebuild: a Remove on a sliced shard rebuilds both
-// the LSH index and the sliced arena; post-remove answers must track the
-// surviving entries and the removed fingerprint must stop matching.
-func TestShardedSlicedRemoveRebuild(t *testing.T) {
-	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2, Sliced: true, BlockEntries: 4})
+// TestShardedRemoveRebuild: with the eager rebuild (RebuildMinDead 1) a
+// Remove compacts the shard and rebuilds its posting lists; post-remove
+// answers must track the surviving entries under their add-order ids and the
+// removed fingerprint must stop matching.
+func TestShardedRemoveRebuild(t *testing.T) {
+	sh, err := NewShardedDB(DefaultThreshold, ShardedConfig{Shards: 2, RebuildMinDead: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +257,9 @@ func TestShardedSlicedRemoveRebuild(t *testing.T) {
 	}
 	if !sh.Remove("dev07") {
 		t.Fatal("Remove(dev07) found nothing")
+	}
+	if sh.Rebuilds() != 1 {
+		t.Fatalf("Rebuilds = %d after an eager Remove, want 1", sh.Rebuilds())
 	}
 	if v := sh.Decide(noisyQuery(fps[7], 1, 60)); v.OK() {
 		t.Fatalf("removed entry still matches: %+v", v)
@@ -275,22 +275,14 @@ func TestShardedSlicedRemoveRebuild(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsPlainSliced: the two backends are mutually exclusive.
-func TestShardedRejectsPlainSliced(t *testing.T) {
-	if _, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: true, Sliced: true}); err == nil {
-		t.Fatal("Plain+Sliced config accepted")
-	}
-}
-
 // TestShardedRemoveTombstone: Remove must exclude the entry from every
 // verdict path immediately while deferring the O(shard) physical rebuild
 // until RebuildMinDead tombstones accumulate — the PR 8 regression where
-// each Remove rebuilt the whole SlicedArena.
+// each Remove rebuilt the whole shard.
 func TestShardedRemoveTombstone(t *testing.T) {
 	for _, cfg := range []ShardedConfig{
 		{Shards: 1, Plain: true, RebuildMinDead: 4},
 		{Shards: 1, RebuildMinDead: 4},
-		{Shards: 1, Sliced: true, BlockEntries: 4, RebuildMinDead: 4},
 	} {
 		sh, err := NewShardedDB(DefaultThreshold, cfg)
 		if err != nil {

@@ -33,10 +33,13 @@ var ErrDraining = errors.New("server: draining")
 // the dispatcher can always deliver, even when the requester timed out and
 // walked away — nothing leaks, the verdict is simply dropped with the
 // channel. ctx carries the originating request's trace span across the
-// coalescing boundary; qspan times the queue wait (admission → dispatch).
+// coalescing boundary; qspan times the queue wait (admission → dispatch) and
+// dspan the delivery (verdict sent → requester resumed and the verdict
+// cached), which the requester ends.
 type pending struct {
 	ctx   context.Context
 	qspan *obs.RSpan
+	dspan *obs.RSpan
 	es    *bitset.Set
 	out   chan fingerprint.Verdict
 }
@@ -146,6 +149,7 @@ func (b *batcher) loop() {
 		verdicts := b.run(ctxs, ess)
 		for i, p := range batch {
 			bspans[i].End()
+			p.dspan = obs.SpanFrom(p.ctx).Child("deliver")
 			p.out <- verdicts[i]
 		}
 		if obs.On() {

@@ -383,25 +383,36 @@ func (s *Service) handleSlowest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleIdentify answers POST /v1/identify. Under a request trace the body
+// decode (JSON, set construction, arming the request deadline) and the
+// response encode are spans of their own, beside the cache, queue, batch
+// and delivery stages, so a request's span tree accounts for its wall time.
 func (s *Service) handleIdentify(w http.ResponseWriter, r *http.Request) {
+	span := obs.SpanFrom(r.Context())
+	dsp := span.Child("decode")
 	var req errStringJSON
 	if code, err := s.decode(w, r, &req); err != nil {
+		dsp.End()
 		httpError(w, code, err.Error())
 		return
 	}
 	es, err := s.toSet(req)
 	if err != nil {
+		dsp.End()
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
+	dsp.End()
 	v, cached, err := s.Identify(ctx, es)
 	if err != nil {
 		httpError(w, submitStatus(err), err.Error())
 		return
 	}
+	esp := span.Child("encode")
 	writeJSON(w, http.StatusOK, s.wireVerdict(v, cached))
+	esp.End()
 }
 
 func (s *Service) handleIdentifyBatch(w http.ResponseWriter, r *http.Request) {

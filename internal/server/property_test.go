@@ -36,26 +36,17 @@ func propQueries(db *fingerprint.DB, seed uint64) []propQuery {
 	return qs
 }
 
-// checkVerdict holds a served verdict to the offline dense-scan one. Matches
-// is exact on plain shards; on LSH-indexed shards it is the documented
-// candidates-only count, so only the matched/ambiguous-capable floor is
-// checked.
-func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict, plain bool) {
+// checkVerdict holds a served verdict to the offline dense-scan one, field
+// for field: every serving engine decides exactly, Matches included.
+func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict) {
 	t.Helper()
-	if got.Name != want.Name || got.Index != want.Index || got.Distance != want.Distance || got.OK() != want.OK() {
+	if got != want {
 		t.Errorf("%s: served %+v, offline %+v", label, got, want)
-		return
-	}
-	if plain && got.Matches != want.Matches {
-		t.Errorf("%s: served Matches=%d, offline %d (plain shards must agree exactly)", label, got.Matches, want.Matches)
-	}
-	if !plain && want.OK() && got.Matches < 1 {
-		t.Errorf("%s: served Matches=%d for a matching query", label, got.Matches)
 	}
 }
 
 // TestServeInvariance is the serving-path determinism property: for any shard
-// count, any batch window, cache on or off, plain or indexed shards, every
+// count, any batch window, cache on or off, plain or posting shards, every
 // verdict the batched+sharded+cached service returns equals the direct
 // fingerprint.DB.Decide dense scan — concurrency moves wall-clock only.
 func TestServeInvariance(t *testing.T) {
@@ -64,8 +55,6 @@ func TestServeInvariance(t *testing.T) {
 		window time.Duration
 		cache  int
 		plain  bool
-		sliced bool
-		probes bool
 	}
 	combos := []combo{
 		{shards: 1, window: 0, cache: 0, plain: false},
@@ -73,12 +62,12 @@ func TestServeInvariance(t *testing.T) {
 		{shards: 8, window: 2 * time.Millisecond, cache: 0, plain: true},
 		{shards: 5, window: 1 * time.Millisecond, cache: 64, plain: true},
 		{shards: 2, window: 500 * time.Microsecond, cache: 16, plain: false},
-		{shards: 3, window: 0, cache: 0, sliced: true},
-		{shards: 2, window: 1 * time.Millisecond, cache: 32, sliced: true, probes: true},
 	}
 	for ci, cb := range combos {
 		cb := cb
-		t.Run(fmt.Sprintf("shards=%d_window=%s_cache=%d_plain=%v_sliced=%v", cb.shards, cb.window, cb.cache, cb.plain, cb.sliced), func(t *testing.T) {
+		// The serving path has no sliced engine; the constant token keeps
+		// the subtest ids stable.
+		t.Run(fmt.Sprintf("shards=%d_window=%s_cache=%d_plain=%v_sliced=false", cb.shards, cb.window, cb.cache, cb.plain), func(t *testing.T) {
 			t.Parallel()
 			seed := uint64(0x5EED0 + ci)
 			db := fixtureDB(24)
@@ -91,8 +80,6 @@ func TestServeInvariance(t *testing.T) {
 			s, err := New(db, Config{
 				Shards:      cb.shards,
 				Plain:       cb.plain,
-				Sliced:      cb.sliced,
-				Probes:      cb.probes,
 				Workers:     2,
 				BatchWindow: cb.window,
 				MaxBatch:    7, // forces multi-dispatch splits
@@ -116,7 +103,7 @@ func TestServeInvariance(t *testing.T) {
 							t.Errorf("query %d: %v", qi, err)
 							return
 						}
-						checkVerdict(t, fmt.Sprintf("round %d query %d", round, qi), v, qs[qi].want, cb.plain)
+						checkVerdict(t, fmt.Sprintf("round %d query %d", round, qi), v, qs[qi].want)
 					}(qi)
 				}
 				wg.Wait()
@@ -132,7 +119,7 @@ func TestServeInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range verdicts {
-				checkVerdict(t, fmt.Sprintf("batch query %d", i), v, qs[i].want, cb.plain)
+				checkVerdict(t, fmt.Sprintf("batch query %d", i), v, qs[i].want)
 			}
 		})
 	}
@@ -163,7 +150,7 @@ func TestServeInvarianceUnderMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if compareIndex {
-				checkVerdict(t, fmt.Sprintf("%s entry %d", step, i), v, want, false)
+				checkVerdict(t, fmt.Sprintf("%s entry %d", step, i), v, want)
 			} else if v.Name != want.Name || v.Distance != want.Distance || v.OK() != want.OK() {
 				t.Errorf("%s entry %d: served %+v, offline %+v", step, i, v, want)
 			}

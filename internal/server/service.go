@@ -22,8 +22,8 @@
 //
 // Determinism contract: batching, sharding, and caching change wall-clock
 // behavior only. Every identify answer equals what a serial
-// fingerprint.DB.Decide scan over the same entries returns (on indexed
-// shards, modulo IndexedDB's documented candidates-only Matches count); the
+// fingerprint.DB.Decide scan over the same entries returns, Matches
+// included — every shard and segment decides with an exact kernel; the
 // golden and invariance tests in this package hold the service to that.
 package server
 
@@ -52,15 +52,9 @@ type Config struct {
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
-	// Plain disables the per-shard LSH indexes (dense-scan shards).
+	// Plain replaces the exact posting kernel with dense Algorithm 2/3
+	// scans on every shard and segment: the oracle configuration.
 	Plain bool
-	// Sliced puts the bit-sliced verification backend on every shard
-	// (band-major block kernel with cardinality-bound pruning on the
-	// fallback scan); mutually exclusive with Plain.
-	Sliced bool
-	// Probes enables multi-probe LSH candidate expansion on the per-shard
-	// indexes (leave-one-out near-miss buckets).
-	Probes bool
 	// Workers bounds the pool a dispatched batch fans across; 0 means one
 	// worker per CPU.
 	Workers int
@@ -97,8 +91,8 @@ type Config struct {
 	// the in-memory ShardedDB (the pre-tiering behavior); "tiered" puts the
 	// database behind mmap'd immutable segment files in Store.Dir.
 	Store store.Config
-	// BlockEntries sizes the bit-sliced blocks on sliced shards and in tiered
-	// segment files; 0 selects the fingerprint package default.
+	// BlockEntries sizes the bit-sliced blocks in tiered segment files; 0
+	// selects the bitset package default.
 	BlockEntries int
 	// Partition scopes the service to one partition of a partitioned
 	// cluster (partition.go); the zero value is unpartitioned.
@@ -173,8 +167,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults(seed)
 	db, err := store.Open(cfg.Store, store.DBConfig{
 		Threshold: cfg.Threshold, Shards: cfg.Shards,
-		Plain: cfg.Plain, Sliced: cfg.Sliced, Probes: cfg.Probes,
-		Workers: cfg.Workers, BlockEntries: cfg.BlockEntries,
+		Plain: cfg.Plain, BlockEntries: cfg.BlockEntries,
 	})
 	if err != nil {
 		return nil, err
@@ -260,8 +253,8 @@ func (s *Service) checkLen(n int) error {
 // Identify answers one identify query through the cache and the batching
 // dispatcher. The bool reports whether the verdict came from the cache.
 func (s *Service) Identify(ctx context.Context, es *bitset.Set) (fingerprint.Verdict, bool, error) {
-	key := keyOf(es)
 	csp := obs.SpanFrom(ctx).Child("cache.get")
+	key := keyOf(es)
 	v, ok := s.cache.Get(key)
 	csp.SetAttr("hit", ok)
 	csp.End()
@@ -276,6 +269,7 @@ func (s *Service) Identify(ctx context.Context, es *bitset.Set) (fingerprint.Ver
 	select {
 	case v := <-ps[0].out:
 		s.cache.Put(gen, key, v)
+		ps[0].dspan.End()
 		return v, false, nil
 	case <-ctx.Done():
 		if obs.On() {
@@ -323,6 +317,7 @@ func (s *Service) IdentifyBatch(ctx context.Context, ess []*bitset.Set) (verdict
 			i := misses[j]
 			verdicts[i] = v
 			s.cache.Put(gen, keys[i], v)
+			p.dspan.End()
 		case <-ctx.Done():
 			if obs.On() {
 				cTimeouts.Inc()

@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
-	"probablecause/internal/minhash"
 )
 
 // FuzzSegmentLoad mirrors the WAL's fuzz contract on PCSEG01 files: for a
@@ -18,25 +18,32 @@ import (
 //     log — every recovered entry byte-identical to the original;
 //   - interior corruption under an intact footer is refused with a
 //     CorruptError carrying an in-range offset;
-//   - a pristine file loads all entries with no salvage flag.
+//   - a pristine file loads all entries with no salvage flag;
+//   - whatever loads answers through the posting kernel exactly as through
+//     the dense block sweep, so damaged postings are never served.
 func FuzzSegmentLoad(f *testing.F) {
 	const n, nbits = 12, 512
 	entries := testEntries(n, nbits)
 	dir := f.TempDir()
 	clean := filepath.Join(dir, "seg-000000.pcseg")
-	if err := WriteSegment(clean, entries, minhash.DefaultScheme, false, 4); err != nil {
+	if err := WriteSegment(clean, entries, 4); err != nil {
 		f.Fatal(err)
 	}
 	blob, err := os.ReadFile(clean)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(len(blob), -1, byte(0))           // pristine
-	f.Add(len(blob)/2, -1, byte(0))         // torn mid-log
-	f.Add(headerSize+3, -1, byte(0))        // torn inside first record
-	f.Add(len(blob), headerSize+9, byte(1)) // interior log flip
-	f.Add(len(blob), 5, byte(0x80))         // header flip
-	f.Add(len(blob), len(blob)-10, byte(4)) // footer flip
+	f.Add(len(blob), -1, byte(0))                       // pristine
+	f.Add(len(blob)/2, -1, byte(0))                     // torn mid-log
+	f.Add(headerSize+3, -1, byte(0))                    // torn inside first record
+	f.Add(len(blob), headerSize+9, byte(1))             // interior log flip
+	f.Add(len(blob), 5, byte(0x80))                     // header flip
+	f.Add(len(blob), len(blob)-10, byte(4))             // footer flip
+	f.Add(len(blob), postingsStart(f, blob)+4, byte(2)) // postings key flip
+	f.Add(len(blob), len(blob)-footerSize-4, byte(1))   // postings entry flip
+	f.Add(len(blob), len(blob)-8, byte(0x10))           // postings CRC flip
+	f.Add(len(blob)-footerSize/2, -1, byte(0))          // torn inside the footer
+	f.Add(postingsStart(f, blob)+8, -1, byte(0))        // torn inside postings
 
 	f.Fuzz(func(t *testing.T, cut int, flip int, xor byte) {
 		if cut < 0 {
@@ -67,6 +74,7 @@ func FuzzSegmentLoad(f *testing.F) {
 			return
 		}
 		defer seg.Close()
+		checkKernelMatchesSweep(t, seg)
 		// Whatever loaded must be internally consistent and, where it maps
 		// onto the original, identical to it. A salvage yields a prefix; a
 		// committed load yields everything (unless a flip landed in a
@@ -105,6 +113,44 @@ func FuzzSegmentLoad(f *testing.F) {
 	})
 }
 
+// postingsStart returns the offset of a pristine version 2 file's postings
+// section, decoded from its footer.
+func postingsStart(tb testing.TB, blob []byte) int {
+	ftr, ok := validFooter(blob, segVersion)
+	if !ok {
+		tb.Fatal("pristine segment has no valid footer")
+	}
+	return int(ftr.postStart)
+}
+
+// checkKernelMatchesSweep holds a loaded segment's posting-kernel verdicts
+// to its dense block sweep on every entry's own fingerprint and on the empty
+// query: the two read paths share nothing but the columnar ids and names.
+func checkKernelMatchesSweep(t *testing.T, seg *Segment) {
+	t.Helper()
+	if seg.Len() == 0 {
+		return
+	}
+	thr := fingerprint.DefaultThreshold
+	qs := []*bitset.Set{bitset.New(seg.Bits())}
+	for i := 0; i < seg.Len(); i++ {
+		qs = append(qs, seg.FP(i))
+	}
+	for qi, q := range qs {
+		pos := q.Positions()
+		got, _ := seg.decideRaw(q, pos, thr, false)
+		want, _ := seg.decideRaw(q, pos, thr, true)
+		if got != want {
+			t.Fatalf("query %d: kernel %+v, sweep %+v", qi, got, want)
+		}
+		gn, gi, _ := seg.firstMatch(q, pos, thr, false)
+		wn, wi, _ := seg.firstMatch(q, pos, thr, true)
+		if gn != wn || gi != wi {
+			t.Fatalf("query %d: kernel first (%s,%d), sweep (%s,%d)", qi, gn, gi, wn, wi)
+		}
+	}
+}
+
 // TestFuzzSegmentLoadSmoke replays the seed corpus without the fuzzing
 // engine — the CI storage job's cheap standing guard.
 func TestFuzzSegmentLoadSmoke(t *testing.T) {
@@ -112,7 +158,7 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 	entries := testEntries(n, nbits)
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "seg-000000.pcseg")
-	if err := WriteSegment(clean, entries, minhash.DefaultScheme, false, 4); err != nil {
+	if err := WriteSegment(clean, entries, 4); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(clean)
@@ -134,11 +180,32 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 				t.Fatalf("cut %d: salvaged entry %d diverges", cut, i)
 			}
 		}
+		checkKernelMatchesSweep(t, seg)
 		seg.Close()
 	}
-	// Every record header flipped: must refuse (intact footer) — never serve
-	// the damaged record.
-	for off := headerSize; off < int(len(blob)/3); off += 7 {
+	// Every postings byte flipped under an intact footer: refused as
+	// corruption with an offset inside the file.
+	for off := postingsStart(t, blob); off < len(blob)-footerSize; off += 5 {
+		mut := append([]byte(nil), blob...)
+		mut[off] ^= 0x08
+		path := filepath.Join(dir, "seg-000003.pcseg")
+		if err := os.WriteFile(path, mut, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSegment(path)
+		ce, ok := err.(*CorruptError)
+		if !ok {
+			t.Fatalf("postings flip at %d: got %v, want CorruptError", off, err)
+		}
+		if ce.Offset < 0 || ce.Offset > int64(len(mut)) {
+			t.Fatalf("postings flip at %d: offset %d outside the file", off, ce.Offset)
+		}
+	}
+	// Every entry-log byte flipped (stride 7): must refuse (intact footer) —
+	// never serve the damaged record. The log ends where the footer says;
+	// the postings sections after it are covered below.
+	ftr, _ := validFooter(blob, segVersion)
+	for off := headerSize; off < int(ftr.logEnd); off += 7 {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0x40
 		path := filepath.Join(dir, "seg-000002.pcseg")
@@ -161,5 +228,4 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 			}
 		}
 	}
-	_ = fingerprint.DefaultThreshold
 }

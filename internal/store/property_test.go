@@ -16,35 +16,31 @@ import (
 // backend fed the same Add/Remove sequence — flush and compaction timing can
 // never change an answer or an id.
 //
-// Equality scoping follows the package contract: with DBConfig.Plain the full
-// Verdict (including Matches) is byte-identical; on indexed and probed
-// configurations per-tier candidate sets legitimately differ from per-shard
-// ones, so (Name, Index, Distance, OK) is pinned. Reads run from a pool of
-// goroutines at each checkpoint so the suite exercises concurrent access
-// under -race.
+// Equality follows the package contract: the full Verdict (including
+// Matches) is byte-identical on every configuration, posting kernel or
+// dense oracle. Reads run from a pool of goroutines at each checkpoint so
+// the suite exercises concurrent access under -race.
 func TestTieredScanEquivalence(t *testing.T) {
 	const nbits = 1024
 	configs := []struct {
 		name string
 		db   DBConfig
-		full bool // full Verdict equality (Matches included)
 	}{
-		{"plain", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Plain: true, BlockEntries: 8}, true},
-		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, BlockEntries: 8}, false},
-		{"sliced-probes", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Sliced: true, Probes: true, BlockEntries: 8}, false},
+		{"plain", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Plain: true, BlockEntries: 8}},
+		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, BlockEntries: 8}},
 	}
 	for _, cfg := range configs {
 		for _, workers := range []int{1, 4} {
 			cfg, workers := cfg, workers
 			t.Run(fmt.Sprintf("%s/w%d", cfg.name, workers), func(t *testing.T) {
 				t.Parallel()
-				runScanEquivalence(t, cfg.db, cfg.full, workers, nbits)
+				runScanEquivalence(t, cfg.db, workers, nbits)
 			})
 		}
 	}
 }
 
-func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits int) {
+func runScanEquivalence(t *testing.T, dbCfg DBConfig, workers, nbits int) {
 	src := prng.New(uint64(0xE0_0001 + workers + len(fmt.Sprint(dbCfg))))
 	tiered, err := OpenTiered(Config{Dir: t.TempDir(), FlushEntries: 1 << 20, CompactSegments: 3}, dbCfg)
 	if err != nil {
@@ -84,14 +80,8 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 				for qi := w; qi < len(queries); qi += workers {
 					q := queries[qi]
 					gv, wv := tiered.Decide(q), oracle.Decide(q)
-					if full {
-						if gv != wv {
-							errs <- fmt.Sprintf("step %d query %d: Decide %+v != oracle %+v", step, qi, gv, wv)
-							return
-						}
-					} else if gv.Name != wv.Name || gv.Index != wv.Index || gv.Distance != wv.Distance || gv.OK() != wv.OK() {
-						errs <- fmt.Sprintf("step %d query %d: Decide (%s,%d,%v,%v) != oracle (%s,%d,%v,%v)",
-							step, qi, gv.Name, gv.Index, gv.Distance, gv.OK(), wv.Name, wv.Index, wv.Distance, wv.OK())
+					if gv != wv {
+						errs <- fmt.Sprintf("step %d query %d: Decide %+v != oracle %+v", step, qi, gv, wv)
 						return
 					}
 					gn, gi, gok := tiered.Identify(q)
@@ -113,9 +103,8 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, full bool, workers, nbits 
 			gvs := tiered.ParallelDecide(queries, workers)
 			wvs := oracle.ParallelDecide(queries, workers)
 			for i := range gvs {
-				if gvs[i].Index != wvs[i].Index || gvs[i].Distance != wvs[i].Distance {
-					t.Fatalf("step %d: ParallelDecide[%d] (%d,%v) != oracle (%d,%v)",
-						step, i, gvs[i].Index, gvs[i].Distance, wvs[i].Index, wvs[i].Distance)
+				if gvs[i] != wvs[i] {
+					t.Fatalf("step %d: ParallelDecide[%d] %+v != oracle %+v", step, i, gvs[i], wvs[i])
 				}
 			}
 		}

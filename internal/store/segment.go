@@ -7,45 +7,60 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"unsafe"
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
-	"probablecause/internal/minhash"
 	"probablecause/internal/samplefile"
 )
 
-// Segment file format PCSEG01 — one immutable flush of the memtable.
+// Segment file format PCSEG01, version 2 — one immutable flush of the
+// memtable.
 //
 //	header   (44 B): magic "PCSEG01\n", version, nbits, blockEntries,
-//	                 LSH scheme (bands, rows, probes, seed), header CRC
+//	                 20 reserved bytes, header CRC
 //	entry log       : per-entry records [u32 len | u32 crc32(payload) | payload],
 //	                 payload = u64 id, u32 nPos, nPos×u32 positions,
 //	                 u16 nameLen, name — the durable truth, salvageable
 //	                 record by record like a WAL segment
 //	columnar        : 8-aligned accelerator sections served straight from the
 //	                 mmap — ids, cardinalities, name table, name-sorted
-//	                 permutation, band-major sliced blocks (union + words),
-//	                 and the sorted (LSH key, entry) pairs
-//	footer   (56 B): magic "PCSEGFTR", logEnd, colStart, id range, counts,
-//	                 columnar CRC, footer CRC
+//	                 permutation, band-major sliced block words (the dense
+//	                 oracle sweep's layout, and the source of FP)
+//	postings        : the exact kernel's inverted lists — the distinct set
+//	                 positions (ascending), nKeys+1 list offsets, and the
+//	                 concatenated lists of entry positions (each ascending)
+//	footer   (64 B): magic "PCSEGFTR", logEnd, colStart, id range, counts
+//	                 (entries, keys, postings), columnar CRC, postings CRC,
+//	                 footer CRC
 //
 // The footer is the integrity root: Load trusts the columnar sections only
 // after the footer and columnar CRCs check out, and still walks the entry
 // log's record CRCs so interior corruption is refused with its offset
-// (CorruptError) rather than served. A file with no valid footer is treated
-// as torn: the longest valid prefix of log records is salvaged into
-// heap-backed sections and the tail is ignored — the same
-// truncate-vs-refuse split the WAL's fuzz contract pins.
+// (CorruptError) rather than served. A postings section whose CRC or shape
+// does not check out under a valid footer is refused the same way. A file
+// with no valid footer is treated as torn: the longest valid prefix of log
+// records is salvaged into heap-backed sections (postings included) and the
+// tail is ignored — the same truncate-vs-refuse split the WAL's fuzz
+// contract pins.
+//
+// Version 1 files (the same header and log; columnar sections whose blocks
+// also carried per-block OR-unions for pruning, then sorted LSH (key,
+// entry) pairs, and a 56-byte footer without postings) still open: their
+// log is verified record by record and the columnar sections and postings
+// are rebuilt in heap, as a salvage rebuilds them. The next compaction
+// that merges one rewrites its entries as version 2.
 
 const (
 	segMagic    = "PCSEG01\n"
 	segFtrMagic = "PCSEGFTR"
-	segVersion  = 1
+	segVersion  = 2
 	headerSize  = 44
-	footerSize  = 56
+	footerSize  = 64
+	v1FooterLen = 56
 	recHdrSize  = 8 // u32 len + u32 crc
 )
 
@@ -63,9 +78,10 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("store: segment %s corrupt at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// colData is the in-memory form of the columnar sections — what the writer
-// serializes, what a torn-tail salvage rebuilds, and what a footer-backed
-// Load views straight off the mapping.
+// colData is the in-memory form of the columnar and postings sections —
+// what the writer serializes, what a torn-tail salvage (or a version 1
+// load) rebuilds, and what a footer-backed Load views straight off the
+// mapping.
 type colData struct {
 	ids      []uint64
 	cards    []int
@@ -73,30 +89,14 @@ type colData struct {
 	nameBlob []byte
 	perm     []uint32 // entry positions sorted by (name, position)
 	blocks   []*bitset.SlicedBlock
-	lshKeys  []uint64 // sorted, parallel to lshIdx
-	lshIdx   []uint32
-}
-
-// entryKeys returns the LSH keys a fingerprint is indexed (and queried)
-// under: the probe key set when multi-probe is on, the plain band keys
-// otherwise — matching minhash.Index's symmetric use of the same key set on
-// both sides.
-func entryKeys(scheme minhash.Scheme, probes bool, fp *bitset.Set) []uint64 {
-	sig := scheme.Sign(bitset.Sparse(fp.Positions()))
-	if probes {
-		return scheme.ProbeKeys(sig)
-	}
-	return scheme.BandKeys(sig)
-}
-
-type keyPair struct {
-	key uint64
-	idx uint32
+	postKeys []uint32 // distinct set positions, ascending
+	postOffs []uint32 // len(postKeys)+1 offsets into post
+	post     []uint32 // entry positions, ascending within each key's list
 }
 
 // buildColumnar packs entries (ascending ids, one shared bit length) into
-// columnar form.
-func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes bool, nbits, blockEntries int) *colData {
+// columnar form, postings included.
+func buildColumnar(entries []fingerprint.IDEntry, nbits, blockEntries int) *colData {
 	n := len(entries)
 	c := &colData{
 		ids:      make([]uint64, n),
@@ -104,7 +104,7 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 		nameOffs: make([]uint32, n+1),
 		perm:     make([]uint32, n),
 	}
-	var pairs []keyPair
+	counts := make(map[uint32]uint32) // postings per set position
 	for i, e := range entries {
 		c.ids[i] = uint64(e.ID)
 		c.cards[i] = e.FP.Count()
@@ -115,9 +115,10 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 			c.blocks = append(c.blocks, bitset.NewSlicedBlock(nbits, blockEntries))
 		}
 		c.blocks[len(c.blocks)-1].Add(e.FP)
-		for _, k := range entryKeys(scheme, probes, e.FP) {
-			pairs = append(pairs, keyPair{key: k, idx: uint32(i)})
-		}
+		e.FP.ForEach(func(p int) bool {
+			counts[uint32(p)]++
+			return true
+		})
 	}
 	sort.Slice(c.perm, func(a, b int) bool {
 		pa, pb := c.perm[a], c.perm[b]
@@ -127,16 +128,26 @@ func buildColumnar(entries []fingerprint.IDEntry, scheme minhash.Scheme, probes 
 		}
 		return pa < pb
 	})
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].key != pairs[b].key {
-			return pairs[a].key < pairs[b].key
-		}
-		return pairs[a].idx < pairs[b].idx
-	})
-	c.lshKeys = make([]uint64, len(pairs))
-	c.lshIdx = make([]uint32, len(pairs))
-	for i, p := range pairs {
-		c.lshKeys[i], c.lshIdx[i] = p.key, p.idx
+	// Postings by counting sort: size every list, then fill each from its
+	// offset in entry order, so the lists are ascending and the build
+	// allocates only the final arrays.
+	c.postKeys = make([]uint32, 0, len(counts))
+	for p := range counts {
+		c.postKeys = append(c.postKeys, p)
+	}
+	slices.Sort(c.postKeys)
+	c.postOffs = make([]uint32, len(c.postKeys)+1)
+	for k, p := range c.postKeys {
+		c.postOffs[k+1] = c.postOffs[k] + counts[p]
+		counts[p] = c.postOffs[k] // now the list's write cursor
+	}
+	c.post = make([]uint32, c.postOffs[len(c.postKeys)])
+	for i, e := range entries {
+		e.FP.ForEach(func(p int) bool {
+			c.post[counts[uint32(p)]] = uint32(i)
+			counts[uint32(p)]++
+			return true
+		})
 	}
 	return c
 }
@@ -145,9 +156,14 @@ func (c *colData) name(pos int) string {
 	return string(c.nameBlob[c.nameOffs[pos]:c.nameOffs[pos+1]])
 }
 
+// maxPostings bounds a segment's posting entries so every list offset fits
+// the u32 the format stores (16 GiB of postings — far beyond any flush).
+const maxPostings int64 = 1<<32 - 1
+
 // WriteSegment writes entries (ascending add-order ids, one shared bit
-// length) as a PCSEG01 segment at path, atomically (temp-fsync-rename).
-func WriteSegment(path string, entries []fingerprint.IDEntry, scheme minhash.Scheme, probes bool, blockEntries int) error {
+// length) as a version 2 PCSEG01 segment at path, atomically
+// (temp-fsync-rename).
+func WriteSegment(path string, entries []fingerprint.IDEntry, blockEntries int) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("store: refusing to write empty segment %s", path)
 	}
@@ -155,18 +171,23 @@ func WriteSegment(path string, entries []fingerprint.IDEntry, scheme minhash.Sch
 		blockEntries = bitset.DefaultSlicedEntries
 	}
 	nbits := entries[0].FP.Len()
+	var total int64
 	for _, e := range entries {
 		if e.FP.Len() != nbits {
 			return fmt.Errorf("store: segment needs one bit length, have %d and %d", nbits, e.FP.Len())
 		}
+		total += int64(e.FP.Count())
 	}
-	col := buildColumnar(entries, scheme, probes, nbits, blockEntries)
+	if total > maxPostings {
+		return fmt.Errorf("store: segment %s would hold %d postings (limit %d); flush smaller memtables", path, total, maxPostings)
+	}
+	col := buildColumnar(entries, nbits, blockEntries)
 	return samplefile.WriteAtomic(path, func(w io.Writer) error {
-		return writeSegmentTo(w, entries, col, scheme, probes, nbits, blockEntries)
+		return writeSegmentTo(w, entries, col, nbits, blockEntries)
 	})
 }
 
-func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, scheme minhash.Scheme, probes bool, nbits, blockEntries int) error {
+func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, nbits, blockEntries int) error {
 	bw := &countWriter{w: w}
 	// Header.
 	hdr := make([]byte, headerSize)
@@ -175,14 +196,6 @@ func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, sc
 	le.PutUint32(hdr[8:], segVersion)
 	le.PutUint32(hdr[12:], uint32(nbits))
 	le.PutUint32(hdr[16:], uint32(blockEntries))
-	le.PutUint32(hdr[20:], uint32(scheme.Bands))
-	le.PutUint32(hdr[24:], uint32(scheme.Rows))
-	pv := uint32(0)
-	if probes {
-		pv = 1
-	}
-	le.PutUint32(hdr[28:], pv)
-	le.PutUint64(hdr[32:], scheme.Seed)
 	le.PutUint32(hdr[40:], crc32.ChecksumIEEE(hdr[:40]))
 	if _, err := bw.Write(hdr); err != nil {
 		return err
@@ -240,18 +253,16 @@ func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, sc
 		return err
 	}
 	for _, blk := range col.blocks {
-		if err := cw.u64s(blk.Union()); err != nil {
-			return err
-		}
 		if err := cw.u64s(blk.Words()); err != nil {
 			return err
 		}
 	}
-	if err := cw.u64s(col.lshKeys); err != nil {
-		return err
-	}
-	if err := cw.u32sPadded(col.lshIdx); err != nil {
-		return err
+	// Postings, under their own CRC.
+	pw := &crcWriter{w: bw}
+	for _, sec := range [][]uint32{col.postKeys, col.postOffs, col.post} {
+		if err := pw.u32sPadded(sec); err != nil {
+			return err
+		}
 	}
 	// Footer.
 	ftr := make([]byte, footerSize)
@@ -261,9 +272,11 @@ func writeSegmentTo(w io.Writer, entries []fingerprint.IDEntry, col *colData, sc
 	le.PutUint64(ftr[24:], col.ids[0])
 	le.PutUint64(ftr[32:], col.ids[len(col.ids)-1])
 	le.PutUint32(ftr[40:], uint32(len(entries)))
-	le.PutUint32(ftr[44:], uint32(len(col.lshKeys)))
-	le.PutUint32(ftr[48:], cw.crc)
-	le.PutUint32(ftr[52:], crc32.ChecksumIEEE(ftr[:52]))
+	le.PutUint32(ftr[44:], uint32(len(col.postKeys)))
+	le.PutUint32(ftr[48:], uint32(len(col.post)))
+	le.PutUint32(ftr[52:], cw.crc)
+	le.PutUint32(ftr[56:], pw.crc)
+	le.PutUint32(ftr[60:], crc32.ChecksumIEEE(ftr[:60]))
 	_, err := bw.Write(ftr)
 	return err
 }
@@ -333,15 +346,13 @@ func (c *crcWriter) bytesPadded(b []byte) error {
 }
 
 // Segment is one loaded PCSEG01 file: columnar views (mmap-backed on the
-// fast path, heap-backed after a salvage) plus the tombstone flags its
-// owning Tiered engine maintains under its mutex.
+// fast path, heap-backed after a salvage or a version 1 rebuild) plus the
+// tombstone flags its owning Tiered engine maintains under its mutex.
 type Segment struct {
 	path         string
 	m            *mapping
 	nbits        int
 	blockEntries int
-	scheme       minhash.Scheme
-	probes       bool
 	count        int
 	minID, maxID uint64
 	salvaged     bool
@@ -360,12 +371,14 @@ type Segment struct {
 	refs atomic.Int32
 }
 
-// LoadSegment opens a PCSEG01 file. With a committed footer the columnar
-// sections are mmap'd views and every entry-log record's CRC is verified —
-// a failed record is refused as *CorruptError with its offset. Without a
-// valid footer the file is treated as torn: the longest valid prefix of log
-// records is rebuilt into heap-backed sections (Salvaged reports this) and
-// the tail is dropped, mirroring the WAL's torn-tail rule.
+// LoadSegment opens a PCSEG01 file. With a committed footer the columnar and
+// postings sections are mmap'd views and every entry-log record's CRC is
+// verified — a failed record or postings section is refused as
+// *CorruptError with its offset. Without a valid footer the file is treated
+// as torn: the longest valid prefix of log records is rebuilt into
+// heap-backed sections (Salvaged reports this) and the tail is dropped,
+// mirroring the WAL's torn-tail rule. A committed version 1 file is rebuilt
+// in heap from its verified log.
 func LoadSegment(path string) (*Segment, error) {
 	m, err := mapFile(path)
 	if err != nil {
@@ -391,81 +404,99 @@ func parseSegment(path string, m *mapping) (*Segment, error) {
 	if got, want := le.Uint32(data[40:]), crc32.ChecksumIEEE(data[:40]); got != want {
 		return nil, &CorruptError{Path: path, Offset: 40, Reason: "header checksum mismatch"}
 	}
-	if v := le.Uint32(data[8:]); v != segVersion {
-		return nil, fmt.Errorf("store: segment %s has unsupported version %d", path, v)
+	version := le.Uint32(data[8:])
+	if version != 1 && version != segVersion {
+		return nil, fmt.Errorf("store: segment %s has unsupported version %d", path, version)
 	}
 	seg := &Segment{
 		path:         path,
 		m:            m,
 		nbits:        int(le.Uint32(data[12:])),
 		blockEntries: int(le.Uint32(data[16:])),
-		scheme: minhash.Scheme{
-			Bands: int(le.Uint32(data[20:])),
-			Rows:  int(le.Uint32(data[24:])),
-			Seed:  le.Uint64(data[32:]),
-		},
-		probes: le.Uint32(data[28:]) == 1,
 	}
 	if seg.blockEntries <= 0 {
 		return nil, &CorruptError{Path: path, Offset: 16, Reason: "zero block width"}
 	}
-	if ftr, ok := seg.validFooter(data); ok {
+	ftr, ok := validFooter(data, version)
+	switch {
+	case !ok:
+		seg.salvage(data)
+	case version == 1:
+		entries, err := seg.readCommittedLog(data, ftr)
+		if err != nil {
+			return nil, err
+		}
+		seg.rebuild(entries)
+	default:
 		if err := seg.loadCommitted(data, ftr); err != nil {
 			return nil, err
 		}
-		return seg, nil
-	}
-	if err := seg.salvage(data); err != nil {
-		return nil, err
 	}
 	return seg, nil
 }
 
 type footer struct {
-	logEnd, colStart int64
-	minID, maxID     uint64
-	count, nKeys     int
-	colCRC           uint32
+	logEnd, colStart, postStart int64
+	minID, maxID                uint64
+	count, nKeys, nPost         int
+	colCRC, postCRC             uint32
 }
 
-// validFooter decodes and checks the footer; ok=false means torn (salvage),
-// never corruption — a file that lost its footer is by definition missing
-// its commit point.
-func (seg *Segment) validFooter(data []byte) (footer, bool) {
+// postingsSize is the byte length of a postings section with nKeys keys and
+// nPost entries: three u32 arrays, each padded to 8 bytes.
+func postingsSize(nKeys, nPost int) int64 {
+	pad8 := func(n int64) int64 { return (n + 7) &^ 7 }
+	return pad8(int64(nKeys)*4) + pad8(int64(nKeys+1)*4) + pad8(int64(nPost)*4)
+}
+
+// validFooter decodes and checks the footer of a version 1 or 2 file and
+// the columnar CRC; ok=false means torn (salvage), never corruption — a file
+// that lost its footer is by definition missing its commit point. Version 1
+// footers are 56 bytes, with the columnar CRC at 48 covering everything
+// after the log. The postings CRC of version 2 is checked by
+// loadCommitted, which refuses a mismatch: the footer vouches for the
+// section, so a bad one is damage, not a torn write.
+func validFooter(data []byte, version uint32) (footer, bool) {
 	le := binary.LittleEndian
-	if len(data) < headerSize+footerSize {
+	size := footerSize
+	if version == 1 {
+		size = v1FooterLen
+	}
+	if len(data) < headerSize+size {
 		return footer{}, false
 	}
-	f := data[len(data)-footerSize:]
-	if string(f[:8]) != segFtrMagic {
-		return footer{}, false
-	}
-	if le.Uint32(f[52:]) != crc32.ChecksumIEEE(f[:52]) {
+	end := int64(len(data) - size)
+	f := data[end:]
+	if string(f[:8]) != segFtrMagic || le.Uint32(f[size-4:]) != crc32.ChecksumIEEE(f[:size-4]) {
 		return footer{}, false
 	}
 	ftr := footer{
-		logEnd:   int64(le.Uint64(f[8:])),
-		colStart: int64(le.Uint64(f[16:])),
-		minID:    le.Uint64(f[24:]),
-		maxID:    le.Uint64(f[32:]),
-		count:    int(le.Uint32(f[40:])),
-		nKeys:    int(le.Uint32(f[44:])),
-		colCRC:   le.Uint32(f[48:]),
+		logEnd:    int64(le.Uint64(f[8:])),
+		colStart:  int64(le.Uint64(f[16:])),
+		minID:     le.Uint64(f[24:]),
+		maxID:     le.Uint64(f[32:]),
+		count:     int(le.Uint32(f[40:])),
+		postStart: end,
 	}
-	if ftr.logEnd < headerSize || ftr.colStart < ftr.logEnd ||
-		ftr.colStart%8 != 0 || ftr.colStart > int64(len(data)-footerSize) || ftr.count <= 0 {
+	colCRC := le.Uint32(f[48:])
+	if version != 1 {
+		ftr.nKeys, ftr.nPost = int(le.Uint32(f[44:])), int(le.Uint32(f[48:]))
+		colCRC, ftr.postCRC = le.Uint32(f[52:]), le.Uint32(f[56:])
+		ftr.postStart -= postingsSize(ftr.nKeys, ftr.nPost)
+	}
+	if ftr.logEnd < headerSize || ftr.colStart < ftr.logEnd || ftr.colStart%8 != 0 ||
+		ftr.postStart < ftr.colStart || ftr.count <= 0 {
 		return footer{}, false
 	}
-	if crc32.ChecksumIEEE(data[ftr.colStart:int64(len(data)-footerSize)]) != ftr.colCRC {
+	if crc32.ChecksumIEEE(data[ftr.colStart:ftr.postStart]) != colCRC {
 		return footer{}, false
 	}
 	return ftr, true
 }
 
-// loadCommitted wires the columnar views off the mapping and walks the
-// entry log verifying record CRCs (interior corruption is refused here).
-func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
-	// Log walk: counts and checksums only, no materialization.
+// walkLog verifies the record CRCs of a committed entry log (counts and
+// checksums only, no materialization); interior corruption is refused here.
+func (seg *Segment) walkLog(data []byte, ftr footer) error {
 	off := int64(headerSize)
 	le := binary.LittleEndian
 	for i := 0; i < ftr.count; i++ {
@@ -485,6 +516,28 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	if off != ftr.logEnd {
 		return &CorruptError{Path: seg.path, Offset: off, Reason: "trailing bytes inside the committed log"}
 	}
+	return nil
+}
+
+// readCommittedLog verifies a committed log and decodes every record — the
+// version 1 load, which rebuilds everything else from the log.
+func (seg *Segment) readCommittedLog(data []byte, ftr footer) ([]fingerprint.IDEntry, error) {
+	if err := seg.walkLog(data, ftr); err != nil {
+		return nil, err
+	}
+	entries, off := readLog(data[:ftr.logEnd], seg.nbits)
+	if len(entries) != ftr.count {
+		return nil, &CorruptError{Path: seg.path, Offset: off, Reason: fmt.Sprintf("record %d does not decode", len(entries))}
+	}
+	return entries, nil
+}
+
+// loadCommitted wires the columnar and postings views off the mapping after
+// walking the entry log's record CRCs.
+func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
+	if err := seg.walkLog(data, ftr); err != nil {
+		return err
+	}
 	seg.count, seg.minID, seg.maxID = ftr.count, ftr.minID, ftr.maxID
 	n := ftr.count
 	wpw := (seg.nbits + 63) / 64
@@ -492,8 +545,9 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	nBlocks := (n + b - 1) / b
 	// Section walk; every offset is 8-aligned by construction.
 	o := ftr.colStart
+	limit := ftr.postStart
 	next := func(size int64) ([]byte, error) {
-		if o+size > int64(len(data))-footerSize {
+		if o+size > limit {
 			return nil, &CorruptError{Path: seg.path, Offset: o, Reason: "columnar section overruns the file"}
 		}
 		s := data[o : o+size]
@@ -522,21 +576,21 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 	if err != nil {
 		return err
 	}
-	blocksB, err := next(int64(nBlocks) * int64(wpw*(b+1)) * 8)
+	blocksB, err := next(int64(nBlocks) * int64(wpw*b) * 8)
 	if err != nil {
 		return err
 	}
-	keysB, err := next(int64(ftr.nKeys) * 8)
-	if err != nil {
-		return err
-	}
-	idxB, err := next(pad8(int64(ftr.nKeys) * 4))
-	if err != nil {
-		return err
-	}
-	if o != int64(len(data))-footerSize {
+	if o != limit {
 		return &CorruptError{Path: seg.path, Offset: o, Reason: "columnar sections do not fill the file"}
 	}
+	limit = int64(len(data)) - footerSize
+	postB := data[ftr.postStart:limit]
+	if crc32.ChecksumIEEE(postB) != ftr.postCRC {
+		return &CorruptError{Path: seg.path, Offset: ftr.postStart, Reason: "postings checksum mismatch"}
+	}
+	keysB, _ := next(pad8(int64(ftr.nKeys) * 4))
+	postOffsB, _ := next(pad8(int64(ftr.nKeys+1) * 4))
+	postEntB, _ := next(pad8(int64(ftr.nPost) * 4))
 	cards32 := u32view(cardsB)[:n]
 	seg.cards = make([]int, n)
 	for i, c := range cards32 {
@@ -548,35 +602,60 @@ func (seg *Segment) loadCommitted(data []byte, ftr footer) error {
 		nameOffs: offs,
 		nameBlob: blobB[:offs[n]],
 		perm:     u32view(permB)[:n],
-		lshKeys:  u64view(keysB),
-		lshIdx:   u32view(idxB)[:ftr.nKeys],
+		postKeys: u32view(keysB)[:ftr.nKeys],
+		postOffs: u32view(postOffsB)[:ftr.nKeys+1],
+		post:     u32view(postEntB)[:ftr.nPost],
+	}
+	if reason := seg.col.checkPostings(n, seg.nbits); reason != "" {
+		return &CorruptError{Path: seg.path, Offset: ftr.postStart, Reason: reason}
 	}
 	blockWords := u64view(blocksB)
 	seg.blocks = make([]*bitset.SlicedBlock, nBlocks)
 	for bi := 0; bi < nBlocks; bi++ {
-		base := bi * wpw * (b + 1)
-		union := blockWords[base : base+wpw]
-		words := blockWords[base+wpw : base+wpw*(b+1)]
+		words := blockWords[bi*wpw*b : (bi+1)*wpw*b]
 		cnt := b
 		if bi == nBlocks-1 {
 			cnt = n - bi*b
 		}
-		seg.blocks[bi] = bitset.ViewSlicedBlock(seg.nbits, b, cnt, words, union, seg.cards[bi*b:bi*b+cnt])
+		seg.blocks[bi] = bitset.ViewSlicedBlock(seg.nbits, b, cnt, words, seg.cards[bi*b:bi*b+cnt])
 	}
 	seg.dead = make([]bool, n)
 	return nil
 }
 
-// salvage parses the longest valid prefix of the entry log and rebuilds the
-// columnar sections in heap.
-func (seg *Segment) salvage(data []byte) error {
+// checkPostings validates the postings' shape against count entries of
+// nbits bits: keys strictly ascending and in range, offsets non-decreasing
+// from 0 to len(post), each list strictly ascending with in-range entries.
+// The kernel indexes by these values, so a shape the CRC vouches for is
+// still checked before anything is served from it. Returns "" when sound.
+func (c *colData) checkPostings(count, nbits int) string {
+	if c.postOffs[0] != 0 || int(c.postOffs[len(c.postKeys)]) != len(c.post) {
+		return "postings offsets do not span the entries"
+	}
+	for k, p := range c.postKeys {
+		if int(p) >= nbits || (k > 0 && p <= c.postKeys[k-1]) {
+			return fmt.Sprintf("postings key %d out of order or range", k)
+		}
+		lo, hi := c.postOffs[k], c.postOffs[k+1]
+		if lo > hi || int(hi) > len(c.post) {
+			return fmt.Sprintf("postings list %d has bad bounds", k)
+		}
+		for j := lo; j < hi; j++ {
+			if int(c.post[j]) >= count || (j > lo && c.post[j] <= c.post[j-1]) {
+				return fmt.Sprintf("postings list %d out of order or range", k)
+			}
+		}
+	}
+	return ""
+}
+
+// readLog decodes the longest valid prefix of log records in data,
+// returning the entries and the offset where decoding stopped.
+func readLog(data []byte, nbits int) ([]fingerprint.IDEntry, int64) {
 	le := binary.LittleEndian
 	var entries []fingerprint.IDEntry
 	off := int64(headerSize)
-	for {
-		if off+recHdrSize > int64(len(data)) {
-			break
-		}
+	for off+recHdrSize <= int64(len(data)) {
 		n := int64(le.Uint32(data[off:]))
 		want := le.Uint32(data[off+4:])
 		if off+recHdrSize+n > int64(len(data)) {
@@ -586,26 +665,38 @@ func (seg *Segment) salvage(data []byte) error {
 		if crc32.ChecksumIEEE(payload) != want {
 			break
 		}
-		e, err := decodeRecord(payload, seg.nbits)
+		e, err := decodeRecord(payload, nbits)
 		if err != nil {
 			break
 		}
 		entries = append(entries, e)
 		off += recHdrSize + n
 	}
+	return entries, off
+}
+
+// salvage parses the longest valid prefix of the entry log and rebuilds the
+// columnar sections in heap.
+func (seg *Segment) salvage(data []byte) {
+	entries, _ := readLog(data, seg.nbits)
 	seg.salvaged = true
+	seg.rebuild(entries)
+}
+
+// rebuild builds the columnar and postings sections in heap from decoded
+// entries — the torn-tail salvage and the version 1 load.
+func (seg *Segment) rebuild(entries []fingerprint.IDEntry) {
 	seg.count = len(entries)
+	seg.dead = make([]bool, seg.count)
 	if len(entries) == 0 {
-		seg.col = &colData{nameOffs: []uint32{0}}
-		return nil
+		seg.col = &colData{nameOffs: []uint32{0}, postOffs: []uint32{0}}
+		return
 	}
-	seg.col = buildColumnar(entries, seg.scheme, seg.probes, seg.nbits, seg.blockEntries)
+	seg.col = buildColumnar(entries, seg.nbits, seg.blockEntries)
 	seg.cards = seg.col.cards
 	seg.blocks = seg.col.blocks
 	seg.minID = seg.col.ids[0]
 	seg.maxID = seg.col.ids[len(seg.col.ids)-1]
-	seg.dead = make([]bool, seg.count)
-	return nil
 }
 
 func decodeRecord(p []byte, nbits int) (fingerprint.IDEntry, error) {
@@ -707,109 +798,41 @@ func (seg *Segment) findName(name string) (int, bool) {
 	return 0, false
 }
 
-// candidates returns the live entry positions colliding with the query in at
-// least one LSH key, ascending and deduplicated.
-func (seg *Segment) candidates(q *bitset.Set) []int {
-	var out []int
-	for _, k := range entryKeys(seg.scheme, seg.probes, q) {
-		keys := seg.col.lshKeys
-		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-		for ; i < len(keys) && keys[i] == k; i++ {
-			out = append(out, int(seg.col.lshIdx[i]))
-		}
+// view exposes the segment to the posting kernel. List finds a position's
+// key by binary search over the keys not yet passed: the kernel asks for
+// the query's positions in ascending order, so each search starts where the
+// previous one ended.
+func (seg *Segment) view() fingerprint.PostingView {
+	c := seg.col
+	lo := 0
+	v := fingerprint.PostingView{
+		Cards: seg.cards,
+		List: func(p uint32) []uint32 {
+			keys := c.postKeys[lo:]
+			k := sort.Search(len(keys), func(i int) bool { return keys[i] >= p })
+			lo += k
+			if k == len(keys) || keys[k] != p {
+				return nil
+			}
+			return c.post[c.postOffs[lo]:c.postOffs[lo+1]]
+		},
+		ID: seg.ID,
 	}
-	sort.Ints(out)
-	w := 0
-	for i, p := range out {
-		if i > 0 && p == out[w-1] {
-			continue
-		}
-		out[w] = p
-		w++
+	if seg.deadCount > 0 {
+		v.Dead = seg.dead
 	}
-	return out[:w]
+	return v
 }
 
-// kernelAt runs the fused Algorithm 3 kernel for entry pos against q,
-// reading only that entry's column of the mmap'd block.
-func (seg *Segment) kernelAt(q *bitset.Set, pos int) bitset.KernelResult {
-	return seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(q, pos%seg.blockEntries)
-}
-
-// pruned replicates fingerprint.SlicedDB's cardinality-bound block prune
-// (sound for first-match only; see that type's derivation).
-func (seg *Segment) prunedBlock(blk *bitset.SlicedBlock, q *bitset.Set, qc int, threshold float64) bool {
-	if qc == 0 {
-		return false
-	}
-	cLow := blk.MinCard()
-	if qc < cLow {
-		cLow = qc
-	}
-	tUp := threshold * (1 + 1e-9)
-	return float64(cLow)*(1-tUp) >= float64(blk.UnionAndCount(q))
-}
-
-// firstMatch is Algorithm 2 over the segment: LSH candidates in id order
-// first (plain=false), then the pruned block sweep — the first live entry
-// under the threshold, as (name, add-order id).
-func (seg *Segment) firstMatch(q *bitset.Set, threshold float64, plain bool) (string, int, bool) {
+// score answers a query over the segment in entry positions, exactly: from
+// the posting kernel over qpos (the query's set positions, ascending), or
+// with plain set from a dense sweep of the sliced blocks in id order — the
+// oracle configuration.
+func (seg *Segment) score(q *bitset.Set, qpos []uint32, threshold float64, plain bool) fingerprint.Score {
 	if !plain {
-		for _, pos := range seg.candidates(q) {
-			if seg.dead[pos] {
-				continue
-			}
-			if fingerprint.KernelDistance(seg.kernelAt(q, pos)) < threshold {
-				return seg.col.name(pos), int(seg.col.ids[pos]), true
-			}
-		}
+		return fingerprint.ScorePostings(seg.view(), qpos, threshold)
 	}
-	qc := q.Count()
-	b := seg.blockEntries
-	var dst []bitset.KernelResult
-	for bi, blk := range seg.blocks {
-		if seg.prunedBlock(blk, q, qc, threshold) {
-			continue
-		}
-		dst = blk.MinCardAndNotCounts(q, dst)
-		for j, r := range dst {
-			pos := bi*b + j
-			if seg.dead[pos] {
-				continue
-			}
-			if fingerprint.KernelDistance(r) < threshold {
-				return seg.col.name(pos), int(seg.col.ids[pos]), true
-			}
-		}
-	}
-	return "", -1, false
-}
-
-// decideRaw is the full decision over the segment. With plain=true it is an
-// exact unpruned sweep (Matches counts every live sub-threshold entry —
-// byte-identical to a dense scan). Otherwise candidates answer first and the
-// sweep is the fallback, inheriting IndexedDB's candidates-only Matches
-// caveat. Index carries the add-order id.
-func (seg *Segment) decideRaw(q *bitset.Set, threshold float64, plain bool) fingerprint.Verdict {
-	v := fingerprint.Verdict{Index: -1, Distance: 2}
-	if !plain {
-		for _, pos := range seg.candidates(q) {
-			if seg.dead[pos] {
-				continue
-			}
-			d := fingerprint.KernelDistance(seg.kernelAt(q, pos))
-			if d < threshold {
-				v.Matches++
-			}
-			if d < v.Distance {
-				v.Name, v.Index, v.Distance = seg.col.name(pos), int(seg.col.ids[pos]), d
-			}
-		}
-		if v.Matches > 0 {
-			return v
-		}
-		v = fingerprint.Verdict{Index: -1, Distance: 2}
-	}
+	sc := fingerprint.Score{Best: -1, Distance: 2, First: -1}
 	b := seg.blockEntries
 	var dst []bitset.KernelResult
 	for bi, blk := range seg.blocks {
@@ -821,14 +844,41 @@ func (seg *Segment) decideRaw(q *bitset.Set, threshold float64, plain bool) fing
 			}
 			d := fingerprint.KernelDistance(r)
 			if d < threshold {
-				v.Matches++
+				sc.Matches++
+				if sc.First < 0 {
+					sc.First = pos
+				}
 			}
-			if d < v.Distance {
-				v.Name, v.Index, v.Distance = seg.col.name(pos), int(seg.col.ids[pos]), d
+			if d < sc.Distance {
+				sc.Best, sc.Distance = pos, d
 			}
 		}
 	}
-	return v
+	return sc
+}
+
+// firstMatch is Algorithm 2 over the segment: the minimum-id live entry
+// under the threshold, as (name, add-order id, -1 on a miss), with the
+// postings the kernel visited.
+func (seg *Segment) firstMatch(q *bitset.Set, qpos []uint32, threshold float64, plain bool) (name string, id, touched int) {
+	sc := seg.score(q, qpos, threshold, plain)
+	if sc.First < 0 {
+		return "", -1, sc.Touched
+	}
+	return seg.col.name(sc.First), seg.ID(sc.First), sc.Touched
+}
+
+// decideRaw is the full decision over the segment — the (distance,
+// id)-minimum live entry and the count of live entries under the threshold
+// — with Index carrying the add-order id, and the postings the kernel
+// visited.
+func (seg *Segment) decideRaw(q *bitset.Set, qpos []uint32, threshold float64, plain bool) (fingerprint.Verdict, int) {
+	sc := seg.score(q, qpos, threshold, plain)
+	v := fingerprint.Verdict{Index: -1, Distance: sc.Distance, Matches: sc.Matches}
+	if sc.Best >= 0 {
+		v.Name, v.Index = seg.col.name(sc.Best), seg.ID(sc.Best)
+	}
+	return v, sc.Touched
 }
 
 // exportLive appends the live entries (materialized) in id order.
@@ -837,7 +887,7 @@ func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry 
 		if seg.dead[pos] {
 			continue
 		}
-		dst = append(dst, fingerprint.IDEntry{ID: int(seg.col.ids[pos]), Name: seg.col.name(pos), FP: seg.FP(pos)})
+		dst = append(dst, fingerprint.IDEntry{ID: seg.ID(pos), Name: seg.col.name(pos), FP: seg.FP(pos)})
 	}
 	return dst
 }
@@ -845,7 +895,8 @@ func (seg *Segment) exportLive(dst []fingerprint.IDEntry) []fingerprint.IDEntry 
 // VerifySegment deep-checks a segment file: Load's structural and checksum
 // validation plus a log-vs-columnar cross-check (every record's id, name,
 // cardinality, and bits must match the columnar sections the queries serve
-// from). A salvaged (torn) file fails verification — triage should see it.
+// from, and the postings must equal the ones the log's entries imply). A
+// salvaged (torn) file fails verification — triage should see it.
 func VerifySegment(path string) error {
 	seg, err := LoadSegment(path)
 	if err != nil {
@@ -862,6 +913,7 @@ func VerifySegment(path string) error {
 	defer m.Close()
 	le := binary.LittleEndian
 	off := int64(headerSize)
+	entries := make([]fingerprint.IDEntry, seg.count)
 	for pos := 0; pos < seg.count; pos++ {
 		n := int64(le.Uint32(m.data[off:]))
 		e, err := decodeRecord(m.data[off+recHdrSize:off+recHdrSize+n], seg.nbits)
@@ -871,12 +923,17 @@ func VerifySegment(path string) error {
 		if e.ID != seg.ID(pos) || e.Name != seg.Name(pos) || e.FP.Count() != seg.cards[pos] || !e.FP.Equal(seg.FP(pos)) {
 			return &CorruptError{Path: path, Offset: off, Reason: fmt.Sprintf("entry %d diverges between log and columnar sections", pos)}
 		}
+		entries[pos] = e
 		off += recHdrSize + n
+	}
+	want := buildColumnar(entries, seg.nbits, seg.blockEntries)
+	if !slices.Equal(want.postKeys, seg.col.postKeys) || !slices.Equal(want.postOffs, seg.col.postOffs) || !slices.Equal(want.post, seg.col.post) {
+		return &CorruptError{Path: path, Offset: 0, Reason: "postings diverge from the entry log"}
 	}
 	// The columnar kernel must agree with the scalar one on a live entry.
 	for pos := 0; pos < seg.count; pos += 1 + seg.count/64 {
 		fp := seg.FP(pos)
-		r := seg.kernelAt(fp, pos)
+		r := seg.blocks[pos/seg.blockEntries].MinCardAndNotCountOne(fp, pos%seg.blockEntries)
 		if r.Diff != 0 || r.MinCard != fp.Count() {
 			return &CorruptError{Path: path, Offset: 0, Reason: fmt.Sprintf("self-distance of entry %d is not zero", pos)}
 		}

@@ -2,29 +2,27 @@
 // fingerprint database. Two backends share one query/mutation surface and one
 // verdict contract:
 //
-//   - Memory: the existing in-RAM fingerprint.ShardedDB, unchanged — every
-//     entry lives in heap, snapshots are monolithic (the pre-PR 9 behavior).
+//   - Memory: the in-RAM fingerprint.ShardedDB — every entry lives in heap,
+//     snapshots are monolithic.
 //   - Tiered: an LSM-shaped engine. Fresh enrollments land in an in-RAM
 //     memtable (a ShardedDB); at each checkpoint the memtable flushes to an
-//     immutable, mmap'd segment file (format PCSEG01, segment.go) carrying
-//     the per-entry error bitsets in the PR 8 band-major sliced layout, the
-//     cached cardinalities, and the serialized LSH band index. Queries merge
-//     the memtable's verdict with per-segment verdicts streamed straight off
-//     the mappings through the SlicedBlock kernel, so the hot path never
-//     materializes flushed fingerprints in heap. Segments accumulate until a
-//     compaction merges them (dropping tombstones); a JSON manifest committed
-//     by atomic rename is the engine's commit point.
+//     immutable, mmap'd segment file (format PCSEG01 version 2, segment.go)
+//     carrying the per-entry error bitsets in the band-major sliced layout,
+//     the cached cardinalities, and the per-bit-position posting lists.
+//     Queries merge the memtable's verdict with per-segment verdicts the
+//     exact posting kernel computes straight off the mappings, so the hot
+//     path never materializes flushed fingerprints in heap. Segments
+//     accumulate until a compaction merges them (dropping tombstones); a
+//     JSON manifest committed by atomic rename is the engine's commit point.
 //
 // Determinism contract: a Tiered backend built by any interleaving of the
 // same Add/Remove sequence — under any flush or compaction timing — answers
-// Identify/Decide with the same (distance, id)-lexicographic winner and the
-// same stable add-order ids as the Memory backend built from that sequence.
-// With DBConfig.Plain the full Verdict (including the Matches count) is
-// byte-identical; on indexed configurations the per-tier candidate sets
-// differ from the per-shard ones, so only the (Name, Index, Distance, OK)
-// answer is pinned, exactly as IndexedDB documents for its candidates-only
-// Matches count. The property suite in property_test.go holds the engine to
-// this under randomized interleavings and -race.
+// Identify/Decide with the same (distance, id)-lexicographic winner, the
+// same stable add-order ids and the same Matches count as the Memory backend
+// built from that sequence: the full Verdict is byte-identical on every
+// configuration, because every tier decides exactly (posting kernel, or
+// dense sweep with DBConfig.Plain). The property suite in property_test.go
+// holds the engine to this under randomized interleavings and -race.
 package store
 
 import (
@@ -106,22 +104,19 @@ type SegmentSnapshotter interface {
 // whole DB for Memory, the memtable for Tiered) — the knobs server.Config
 // already exposes.
 type DBConfig struct {
-	Threshold    float64
-	Shards       int
-	Plain        bool
-	Sliced       bool
-	Probes       bool
-	Workers      int
+	Threshold float64
+	Shards    int
+	// Plain selects dense-scan shards and dense segment sweeps instead of
+	// the posting kernel: the oracle configuration.
+	Plain bool
+	// BlockEntries sizes the sliced blocks segment files store (the dense
+	// sweep's layout and the source FP materializes from); 0 selects
+	// bitset.DefaultSlicedEntries.
 	BlockEntries int
 }
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
-	scfg := fingerprint.ShardedConfig{
-		Shards: c.Shards, Plain: c.Plain, Sliced: c.Sliced, BlockEntries: c.BlockEntries,
-	}
-	scfg.Index.Workers = c.Workers
-	scfg.Index.Probes = c.Probes
-	return fingerprint.NewShardedDB(c.Threshold, scfg)
+	return fingerprint.NewShardedDB(c.Threshold, fingerprint.ShardedConfig{Shards: c.Shards, Plain: c.Plain})
 }
 
 // Config selects and parameterizes a backend.

@@ -16,7 +16,6 @@ import (
 
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
-	"probablecause/internal/minhash"
 	"probablecause/internal/obs"
 	"probablecause/internal/pool"
 )
@@ -41,9 +40,8 @@ import (
 // segment kill flags are only written under the write lock — while the
 // memtable's own internal sharded locks handle concurrent access beneath it.
 type Tiered struct {
-	cfg    Config
-	dbCfg  DBConfig
-	scheme minhash.Scheme
+	cfg   Config
+	dbCfg DBConfig
 
 	mu        sync.RWMutex
 	mem       *fingerprint.ShardedDB
@@ -90,7 +88,7 @@ func OpenTiered(cfg Config, dbCfg DBConfig) (*Tiered, error) {
 		return nil, err
 	}
 	t := &Tiered{
-		cfg: cfg, dbCfg: dbCfg, scheme: minhash.DefaultScheme,
+		cfg: cfg, dbCfg: dbCfg,
 		mem: mem, memBase: man.NextID, watermark: man.Watermark,
 		tomb: make(map[int]bool),
 	}
@@ -251,12 +249,16 @@ func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok b
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	index = -1
+	qpos := errorString.Positions()
+	touched := 0
 	for _, seg := range t.segs {
-		n, id, hit := seg.firstMatch(errorString, t.dbCfg.Threshold, t.dbCfg.Plain)
-		if hit && (index < 0 || id < index) {
+		n, id, tc := seg.firstMatch(errorString, qpos, t.dbCfg.Threshold, t.dbCfg.Plain)
+		touched += tc
+		if id >= 0 && (index < 0 || id < index) {
 			name, index = n, id
 		}
 	}
+	fingerprint.RecordTouched(touched)
 	if n, local, hit := t.mem.FirstMatch(errorString); hit {
 		if id := t.memBase + local; index < 0 || id < index {
 			name, index = n, id
@@ -273,9 +275,8 @@ func (t *Tiered) IdentifyBest(errorString *bitset.Set) (name string, index int, 
 
 // Decide merges the memtable's verdict with every segment's through
 // fingerprint.MergeVerdict — the same (distance, id)-lexicographic rule the
-// sharded scan uses, so flush timing can never change an answer. With
-// DBConfig.Plain every tier sweeps densely and the Matches count is exact;
-// indexed tiers inherit the candidates-only caveat.
+// sharded scan uses, so flush timing can never change an answer. Every tier
+// decides exactly, so the Matches count is the dense scan's.
 func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -284,9 +285,14 @@ func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
 
 func (t *Tiered) decideLocked(errorString *bitset.Set) fingerprint.Verdict {
 	v := fingerprint.Verdict{Index: -1, Distance: 2}
+	qpos := errorString.Positions()
+	touched := 0
 	for _, seg := range t.segs {
-		fingerprint.MergeVerdict(&v, seg.decideRaw(errorString, t.dbCfg.Threshold, t.dbCfg.Plain))
+		sv, tc := seg.decideRaw(errorString, qpos, t.dbCfg.Threshold, t.dbCfg.Plain)
+		fingerprint.MergeVerdict(&v, sv)
+		touched += tc
 	}
+	fingerprint.RecordTouched(touched)
 	mv := t.mem.DecideRaw(errorString)
 	if mv.Index >= 0 {
 		mv.Index += t.memBase
@@ -413,7 +419,7 @@ func (t *Tiered) flushLocked(watermark uint64) error {
 	if len(entries) > 0 {
 		newFile = segmentName(t.nextSeg)
 		path := filepath.Join(t.cfg.Dir, newFile)
-		if err := WriteSegment(path, entries, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
+		if err := WriteSegment(path, entries, t.dbCfg.BlockEntries); err != nil {
 			return err
 		}
 		t.crash("flush-before-commit")
@@ -469,7 +475,7 @@ func (t *Tiered) compactOnceLocked() error {
 	newFile := segmentName(t.nextSeg)
 	if len(entries) > 0 {
 		path := filepath.Join(t.cfg.Dir, newFile)
-		if err := WriteSegment(path, entries, t.scheme, t.dbCfg.Probes, t.dbCfg.BlockEntries); err != nil {
+		if err := WriteSegment(path, entries, t.dbCfg.BlockEntries); err != nil {
 			return err
 		}
 		t.crash("compact-before-commit")

@@ -16,6 +16,7 @@ import (
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/samplefile"
 	"probablecause/internal/server"
+	"probablecause/internal/wal"
 )
 
 // TestPcservedCrashRecovery is the durability acceptance test: kill -9
@@ -128,11 +129,41 @@ func TestPcservedCrashRecovery(t *testing.T) {
 	}
 	ref.Close()
 
-	// acked ⊆ replayed ⊆ sent, session by session.
+	// acked ⊆ replayed ⊆ sent, session by session, over the records the
+	// WAL replays. The fold stops counting a session's observations once
+	// it promotes (later records are logged, then ignored), so the folded
+	// count must equal the replayed records until promotion and stop at
+	// the promoting observation after it.
+	replayed := make([]int, sessions)
+	log, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = log.Replay(log.FirstSeq(), func(_ uint64, payload []byte) error {
+		var rec struct {
+			Session string `json:"session"`
+		}
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		var i int
+		if _, err := fmt.Sscanf(rec.Session, "sess-%d", &i); err != nil || i < 0 || i >= sessions {
+			return fmt.Errorf("WAL record for unknown session %q", rec.Session)
+		}
+		replayed[i]++
+		return nil
+	})
+	log.Close()
+	if err != nil {
+		t.Fatalf("replaying the WAL: %v", err)
+	}
 	for i := 0; i < sessions; i++ {
-		got := refStates[i].Observations
+		got, st := replayed[i], refStates[i]
 		if got < acked[i] || got > sent[i] {
 			t.Errorf("session %d: replayed %d observations, acked %d, sent %d", i, got, acked[i], sent[i])
+		}
+		if folded := st.Observations; (!st.Promoted && folded != got) || (st.Promoted && (folded != st.ConvergedAt || folded > got)) {
+			t.Errorf("session %d: folded %d of %d replayed observations (promoted %v, converged at %d)", i, folded, got, st.Promoted, st.ConvergedAt)
 		}
 	}
 	if t.Failed() {

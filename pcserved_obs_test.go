@@ -181,7 +181,7 @@ func TestPcservedObservability(t *testing.T) {
 		e.Spans.Walk(func(n *obs.SpanTree) {
 			counts[n.Name]++
 			switch n.Name {
-			case "cache.get", "queue.wait", "batch":
+			case "decode", "cache.get", "queue.wait", "batch", "deliver", "encode":
 				stages += n.DurNS
 			}
 		})
