@@ -122,7 +122,6 @@ func run(args []string) (err error) {
 	snapshot := fs.String("snapshot", "", "database snapshot: loaded at startup when present, saved atomically on shutdown")
 	threshold := fs.Float64("threshold", 0, "match threshold (0: take it from the seed database)")
 	shards := fs.Int("shards", 0, fmt.Sprintf("database shard count (0: %d)", fingerprint.DefaultShards))
-	plain := fs.Bool("plain", false, "dense-scan every shard and segment instead of the exact posting kernel (the oracle)")
 	workers := fs.Int("workers", 0, "identification worker pool size (0: one per CPU)")
 	batchWindow := fs.Duration("batch.window", 500*time.Microsecond, "micro-batching coalescing window (0: dispatch immediately)")
 	maxBatch := fs.Int("batch.max", 0, fmt.Sprintf("max identify queries per dispatch (0: %d)", server.DefaultMaxBatch))
@@ -264,7 +263,6 @@ func run(args []string) (err error) {
 	cfg := server.Config{
 		Threshold:      *threshold,
 		Shards:         *shards,
-		Plain:          *plain,
 		Workers:        *workers,
 		BatchWindow:    *batchWindow,
 		MaxBatch:       *maxBatch,

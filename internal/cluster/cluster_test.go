@@ -52,7 +52,7 @@ type nodeOptions struct {
 	pull     PullConfig
 	walStart uint64 // WAL StartSeq for bootstrapped followers
 	// cfg, when non-nil, adjusts the server config before boot (partition
-	// scoping, plain shards, worker counts).
+	// scoping, worker counts).
 	cfg func(*server.Config)
 }
 

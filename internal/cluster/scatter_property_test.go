@@ -3,8 +3,9 @@ package cluster
 // The partitioned cluster's core acceptance property: scatter-gather
 // identify over a 2-partition cluster answers byte-identically to a
 // single node scanning the union database serially. The oracle is a
-// plain (dense-scan) ShardedDB rebuilt from the partitions' exports with
-// cluster-global ids, encoded through the exact server wire path. Any
+// single-node ShardedDB (which the fingerprint suites hold to the DB
+// scan) rebuilt from the partitions' exports with cluster-global ids,
+// encoded through the exact server wire path. Any
 // divergence — distance, tie-break id, match count, field order, even a
 // trailing byte — fails the comparison.
 
@@ -54,7 +55,7 @@ func postRaw(t *testing.T, client *http.Client, url string, body []byte) (int, [
 // (the tie-break the merge contract relies on).
 func scatterOracle(t *testing.T, pmap *PartitionMap, nodes []*testNode) *fingerprint.ShardedDB {
 	t.Helper()
-	oracle, err := fingerprint.NewShardedDB(fingerprint.DefaultThreshold, fingerprint.ShardedConfig{Plain: true})
+	oracle, err := fingerprint.NewShardedDB(fingerprint.DefaultThreshold, fingerprint.ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,8 @@ func TestScatterIdentifyByteIdenticalToSerialOracle(t *testing.T) {
 				ord := ord
 				n := startNode(t, fmt.Sprintf("prop-p%d", ord), t.TempDir(), nodeOptions{cfg: func(c *server.Config) {
 					partitionScoped(pmap, ord)(c)
-					// Plain shards: full-scan verdicts whose Matches counts an
-					// index would truncate to candidates. Workers varies the
-					// dispatch parallelism the property must be invariant to.
-					c.Plain = true
+					// Workers varies the dispatch parallelism the property
+					// must be invariant to.
 					c.Workers = workers
 				}})
 				n.node.StartPrimary()

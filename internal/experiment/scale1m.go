@@ -39,8 +39,6 @@ type Scale1MParams struct {
 	Seed      uint64
 	// Dir is the engine directory; empty selects a removed-on-return temp dir.
 	Dir string
-	// BlockEntries sizes the segments' sliced blocks; 0 selects the default.
-	BlockEntries int
 	// MaxHeapFrac fails the run when post-flush resident heap exceeds this
 	// fraction of the corpus bytes; 0 selects 1.0 (heap strictly below the
 	// corpus — the "bounded below corpus size" acceptance floor).
@@ -127,9 +125,7 @@ func RunScale1M(p Scale1MParams) (*Scale1MResult, error) {
 			FlushEntries:    p.FlushEntries,
 			CompactSegments: p.CompactSegments,
 		},
-		store.DBConfig{
-			Threshold: p.Threshold, BlockEntries: p.BlockEntries,
-		})
+		store.DBConfig{Threshold: p.Threshold})
 	if err != nil {
 		return nil, err
 	}

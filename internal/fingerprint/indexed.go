@@ -240,9 +240,9 @@ func sortInts(s []int) {
 	}
 }
 
-// Identifier is the shared identification surface of DB, IndexedDB, and
-// ShardedDB; experiment drivers and the serving layer take it so the scan,
-// indexed, and sharded paths are swappable.
+// Identifier is the shared identification surface of the paper-comparison
+// engines DB, IndexedDB and SlicedDB; experiment drivers and pcause take it
+// so the scan, indexed and sliced paths are swappable.
 type Identifier interface {
 	Identify(errorString *bitset.Set) (name string, index int, ok bool)
 	IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64)
@@ -255,7 +255,6 @@ type Identifier interface {
 var (
 	_ Identifier = (*DB)(nil)
 	_ Identifier = (*IndexedDB)(nil)
-	_ Identifier = (*ShardedDB)(nil)
 )
 
 // String renders a small summary for logs.

@@ -86,15 +86,15 @@ func TestAddWithIDEquivalence(t *testing.T) {
 	const bits = 2048
 	const entries = 40
 	src := prng.New(0xAD01)
-	dense, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: true})
+	dense, err := NewShardedDB(DefaultThreshold, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: true})
+	explicit, err := NewShardedDB(DefaultThreshold, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strided, err := NewShardedDB(DefaultThreshold, ShardedConfig{Plain: true})
+	strided, err := NewShardedDB(DefaultThreshold, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // cPostingsTouched counts the posting-list entries the kernel visited. It is
-// added once per decision (the sum over the decision's shards), never per
-// posting, so the counter costs one atomic add on the hot path.
+// added once per decision (Answer.Record, the sum over the decision's
+// components), never per posting, so the counter costs one atomic add on
+// the hot path.
 var cPostingsTouched = obs.C("fingerprint.postings.touched")
 
 // PostingView is one component the posting kernel scores — a memory shard
@@ -118,11 +119,70 @@ func kernelDist(card, qc, inter int) float64 {
 	return float64(n-inter) / float64(n)
 }
 
-// RecordTouched adds one decision's posting count to the
-// fingerprint.postings.touched counter — the single add per decision the
-// storage engine makes for its segment sweep.
-func RecordTouched(n int) {
-	if obs.On() {
-		cPostingsTouched.Add(int64(n))
+// MergeVerdict folds one component's verdict into the running
+// cross-component verdict: match counts add up and the (distance,
+// id)-lexicographic minimum wins. Answer.Fold and the scatter router's
+// partition merge share it.
+func MergeVerdict(v *Verdict, sv Verdict) {
+	v.Matches += sv.Matches
+	if sv.Index < 0 {
+		return
 	}
+	if sv.Distance < v.Distance || (sv.Distance == v.Distance && (v.Index < 0 || sv.Index < v.Index)) {
+		v.Name, v.Index, v.Distance = sv.Name, sv.Index, sv.Distance
+	}
+}
+
+// Answer is one query's decision folded over any number of components —
+// memory shards, a memtable, segment files. It carries Algorithm 3's best
+// match with the sub-threshold count (the Verdict), Algorithm 2's accept
+// (the minimum-id match) and the postings the folds touched. Each merge
+// rule — a (distance, id) minimum, a minimum id, two sums — is order-free,
+// so neither fold order nor how the entries are split into components
+// (shard count, flush and compaction timing) can change an answer.
+type Answer struct {
+	Verdict
+	// FirstName and FirstID locate the minimum-id live entry under the
+	// threshold; FirstID is -1 on a miss.
+	FirstName string
+	FirstID   int
+	// Touched counts the posting entries the folds visited.
+	Touched int
+}
+
+// NewAnswer returns the answer over no components: a miss with no best
+// entry.
+func NewAnswer() Answer {
+	return Answer{Verdict: Verdict{Index: -1, Distance: 2}, FirstID: -1}
+}
+
+// Fold scores one component with ScorePostings and merges the result into
+// a. name maps a local index to its entry's name; it is called only for
+// the component's best and first entries. Fold returns the postings this
+// component touched.
+func (a *Answer) Fold(v PostingView, name func(int) string, qpos []uint32, threshold float64) int {
+	sc := ScorePostings(v, qpos, threshold)
+	sv := Verdict{Index: -1, Distance: sc.Distance, Matches: sc.Matches}
+	if sc.Best >= 0 {
+		sv.Name, sv.Index = name(sc.Best), v.ID(sc.Best)
+	}
+	MergeVerdict(&a.Verdict, sv)
+	if sc.First >= 0 {
+		if id := v.ID(sc.First); a.FirstID < 0 || id < a.FirstID {
+			a.FirstName, a.FirstID = name(sc.First), id
+		}
+	}
+	a.Touched += sc.Touched
+	return sc.Touched
+}
+
+// Record adds the decision to the identify hit/miss/ambiguous counters and
+// its postings to fingerprint.postings.touched. Whoever folds a query
+// records it exactly once.
+func (a *Answer) Record() {
+	if !obs.On() {
+		return
+	}
+	cPostingsTouched.Add(int64(a.Touched))
+	recordVerdict(a.Verdict)
 }

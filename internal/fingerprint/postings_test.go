@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -206,12 +207,18 @@ func postingViewOf(entries []*bitset.Set, dead []bool) PostingView {
 // FuzzPostingKernel holds ScorePostings to the dense distance() scan: the
 // same best entry, bit-identical distance, match count and first match, for
 // arbitrary entries (empty ones included), tombstones, queries and
-// thresholds.
+// thresholds. It then holds the fold to the paper's scan: the corpus split
+// into components (checkFoldMatchesDB) answers as DB.Decide and
+// DB.Identify do over the whole.
 func FuzzPostingKernel(f *testing.F) {
 	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80}, uint16(100), uint8(3))
 	f.Add([]byte{}, uint16(0), uint8(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0xAA, 0x55}, uint16(1000), uint8(1))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, uint16(15000), uint8(9))
+	// Five equal entries (one tombstoned) and an equal query: every live
+	// entry matches, so the fold's tie-break and first-match rules decide
+	// across components.
+	f.Add(bytes.Repeat([]byte{0x5A, 0x0F, 0x33, 0xC1}, 18), uint16(100), uint8(0x02))
 	f.Fuzz(func(t *testing.T, data []byte, thresholdMilli uint16, deadMask uint8) {
 		const nbits = 96
 		// Each 12-byte chunk is one 96-bit entry; the last chunk (or the
@@ -245,7 +252,58 @@ func FuzzPostingKernel(f *testing.F) {
 		if got != want {
 			t.Fatalf("kernel %+v, scan %+v (threshold %v, %d entries)", got, want, threshold, len(sets))
 		}
+		checkFoldMatchesDB(t, sets, dead, q, threshold, prng.Hash(uint64(thresholdMilli), uint64(deadMask), uint64(len(sets))))
 	})
+}
+
+// checkFoldMatchesDB splits the entries (id = index) into 1–4 components,
+// each holding a random subset in random local order, folds them in random
+// order, and requires the Answer to equal DB.Decide over the live entries
+// and its first match to equal DB.Identify: how entries are spread over
+// shards, memtable and segments can never change an answer.
+func checkFoldMatchesDB(t *testing.T, sets []*bitset.Set, dead []bool, q *bitset.Set, threshold float64, seed uint64) {
+	t.Helper()
+	src := prng.New(seed)
+	name := func(id int) string { return fmt.Sprintf("e%d", id%5) } // repeated names, as enrollments allow
+	comps := make([][]int, 1+src.Intn(4))
+	for _, id := range src.Perm(len(sets)) {
+		c := src.Intn(len(comps))
+		comps[c] = append(comps[c], id)
+	}
+	a := NewAnswer()
+	for _, c := range src.Perm(len(comps)) {
+		ids := comps[c]
+		members := make([]*bitset.Set, len(ids))
+		cdead := make([]bool, len(ids))
+		for i, id := range ids {
+			members[i], cdead[i] = sets[id], dead[id]
+		}
+		v := postingViewOf(members, cdead)
+		v.ID = func(i int) int { return ids[i] }
+		a.Fold(v, func(i int) string { return name(ids[i]) }, q.Positions(), threshold)
+	}
+	db := NewDB(threshold)
+	var live []int
+	for id, s := range sets {
+		if !dead[id] {
+			db.Add(name(id), s)
+			live = append(live, id)
+		}
+	}
+	want := db.Decide(q)
+	if want.Index >= 0 {
+		want.Index = live[want.Index]
+	}
+	if a.Verdict != want {
+		t.Fatalf("folded %d components: verdict %+v, DB.Decide %+v", len(comps), a.Verdict, want)
+	}
+	wn, wi, ok := db.Identify(q)
+	if ok {
+		wi = live[wi]
+	}
+	if a.FirstName != wn || a.FirstID != wi {
+		t.Fatalf("folded %d components: first (%s,%d), DB.Identify (%s,%d)", len(comps), a.FirstName, a.FirstID, wn, wi)
+	}
 }
 
 // TestWideFingerprintHeap: enrolling one 2^22-bit fingerprint must grow the

@@ -10,7 +10,6 @@ import (
 	"probablecause/internal/bitset"
 	"probablecause/internal/minhash"
 	"probablecause/internal/obs"
-	"probablecause/internal/pool"
 	"probablecause/internal/prng"
 )
 
@@ -31,10 +30,6 @@ const DefaultShards = 8
 type ShardedConfig struct {
 	// Shards is the number of shards; 0 selects DefaultShards.
 	Shards int
-	// Plain drops the per-shard posting lists: every shard answers by dense
-	// Algorithm 2/3 scan of its DB. The ablation configuration, and the
-	// dense-scan oracle the equivalence suites compare against.
-	Plain bool
 	// RebuildMinDead is the per-shard tombstone count at which Remove
 	// physically compacts the shard (drops dead entries and rebuilds its
 	// posting lists). Below it, Remove only tombstones — O(1) instead of
@@ -63,13 +58,13 @@ const DefaultRebuildMinDead = 64
 // included — is exact, whatever the query's error level.
 //
 // Determinism contract: a ShardedDB built by any interleaving of the same
-// Add sequence answers Decide/Identify/IdentifyBest exactly as the plain DB
+// Add sequence answers Decide/Identify exactly as the plain DB
 // built from that sequence, with Verdict.Index and the identify index
 // reported as the entry's add-order id (stable across Removes, equal to the
 // DB slice index when nothing was removed). Cross-shard combination is by
 // (distance, id) lexicographic minimum for best-match decisions and minimum
-// id for first-match decisions, which reproduces the dense scan's
-// first-strictly-better / first-on-tie behavior.
+// id for first-match decisions (Answer.Fold), which reproduces the dense
+// scan's first-strictly-better / first-on-tie behavior.
 type ShardedDB struct {
 	threshold float64
 	cfg       ShardedConfig
@@ -84,14 +79,13 @@ type ShardedDB struct {
 }
 
 // dbShard is one shard: a plain DB, the local-index → add-order-id mapping,
-// and — unless the shard is plain — the cached cardinalities and posting
-// lists the kernel reads.
+// and the cached cardinalities and posting lists the kernel reads.
 type dbShard struct {
 	mu    sync.RWMutex
 	db    *DB
 	ids   []int
 	cards []int
-	post  *postingDir // nil on plain shards
+	post  postingDir
 }
 
 // denseDirBits is the widest fingerprint a posting directory indexes by a
@@ -146,12 +140,8 @@ func (d *postingDir) list(p uint32) []uint32 {
 	return nil
 }
 
-func newShard(threshold float64, plain bool) *dbShard {
-	sh := &dbShard{db: NewDB(threshold)}
-	if !plain {
-		sh.post = new(postingDir)
-	}
-	return sh
+func newShard(threshold float64) *dbShard {
+	return &dbShard{db: NewDB(threshold)}
 }
 
 // add appends one entry to the shard (caller holds sh.mu).
@@ -159,10 +149,8 @@ func (sh *dbShard) add(id int, name string, fp *bitset.Set) {
 	local := uint32(len(sh.db.entries))
 	sh.db.Add(name, fp)
 	sh.ids = append(sh.ids, id)
-	if sh.post != nil {
-		sh.cards = append(sh.cards, fp.Count())
-		sh.post.add(local, fp)
-	}
+	sh.cards = append(sh.cards, fp.Count())
+	sh.post.add(local, fp)
 }
 
 // view exposes the shard to the posting kernel (caller holds sh.mu).
@@ -177,6 +165,9 @@ func (sh *dbShard) view() PostingView {
 	}
 	return v
 }
+
+// name returns local entry i's name (caller holds sh.mu).
+func (sh *dbShard) name(i int) string { return sh.db.entries[i].Name }
 
 // NewShardedDB returns an empty sharded database using the given
 // identification threshold.
@@ -200,7 +191,7 @@ func NewShardedDB(threshold float64, cfg ShardedConfig) (*ShardedDB, error) {
 		names:     make(map[string][]int),
 	}
 	for i := range s.shards {
-		s.shards[i] = newShard(threshold, cfg.Plain)
+		s.shards[i] = newShard(threshold)
 	}
 	return s, nil
 }
@@ -262,7 +253,8 @@ func (s *ShardedDB) Add(name string, fp *bitset.Set) int {
 // construction: a single-node database rebuilt from a partitioned
 // cluster's enrollments must carry each entry under the same global id
 // the cluster reported (see IDNamespace), or verdict byte-comparison is
-// meaningless. nextID advances past the explicit id so later plain Adds
+// meaningless. The tiered storage engine's memtable takes its global ids
+// the same way. nextID advances past the explicit id so later plain Adds
 // never collide. The caller owns id uniqueness.
 func (s *ShardedDB) AddWithID(id int, name string, fp *bitset.Set) {
 	si := s.shardFor(fp)
@@ -306,7 +298,7 @@ func (s *ShardedDB) Get(name string) (*bitset.Set, bool) {
 // Remove deletes the earliest-added live entry under name and reports
 // whether one existed. The entry is tombstoned — O(1), verdicts exclude it
 // immediately — and the owning shard is physically compacted (dead entries
-// dropped, LSH index and sliced arena rebuilt) only once its tombstone count
+// dropped, posting lists rebuilt) only once its tombstone count
 // reaches ShardedConfig.RebuildMinDead, so removal churn no longer pays an
 // O(shard size) rebuild per call. Only the owning shard is ever write-locked;
 // the other shards keep serving.
@@ -345,7 +337,7 @@ func (s *ShardedDB) Remove(name string) bool {
 // rebuilt over the survivors (O(shard size), amortized over RebuildMinDead
 // tombstone-only Removes). Caller holds sh.mu.
 func (sh *dbShard) compact(threshold float64) {
-	fresh := newShard(threshold, sh.post == nil)
+	fresh := newShard(threshold)
 	for i, e := range sh.db.entries {
 		if sh.db.alive(i) {
 			fresh.add(sh.ids[i], e.Name, e.FP)
@@ -359,230 +351,71 @@ func (sh *dbShard) compact(threshold float64) {
 // rebuild until RebuildMinDead removals accumulate.
 func (s *ShardedDB) Rebuilds() int64 { return s.rebuilds.Load() }
 
-// positions returns the query's set positions for the posting kernel, or
-// nil on plain shards, which never read them.
-func (s *ShardedDB) positions(errorString *bitset.Set) []uint32 {
-	if s.cfg.Plain {
-		return nil
-	}
-	return errorString.Positions()
-}
-
-// decideRaw answers over one shard without obs verdict counters, mapping the
-// best local index to its add-order id; touched counts the postings visited.
-func (sh *dbShard) decideRaw(errorString *bitset.Set, qpos []uint32) (v Verdict, touched int) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.post == nil {
-		v = sh.db.decideRaw(errorString)
-		if v.Index >= 0 {
-			v.Index = sh.ids[v.Index]
+// FoldInto folds every shard into a, each under its read lock; qpos holds
+// the query's set positions, ascending. Under a request span sp each shard
+// records a shard.identify child carrying the postings it touched. FoldInto
+// records no counters: the caller records the whole decision once (the
+// tiered storage engine folds its memtable this way).
+func (s *ShardedDB) FoldInto(a *Answer, qpos []uint32, sp *obs.RSpan) {
+	for i, sh := range s.shards {
+		ssp := sp.Child("shard.identify")
+		sh.mu.RLock()
+		n := a.Fold(sh.view(), sh.name, qpos, s.threshold)
+		sh.mu.RUnlock()
+		if ssp != nil { // spares the untraced path boxing the attributes
+			ssp.SetAttr("shard", i)
+			ssp.SetAttr("postings", n)
+			ssp.End()
 		}
-		return v, 0
 	}
-	sc := ScorePostings(sh.view(), qpos, sh.db.threshold)
-	v = Verdict{Index: -1, Distance: 2, Matches: sc.Matches}
-	if sc.Best >= 0 {
-		v.Name, v.Index, v.Distance = sh.db.entries[sc.Best].Name, sh.ids[sc.Best], sc.Distance
-	}
-	return v, sc.Touched
 }
 
-// firstMatch answers Algorithm 2 over one shard: the minimum-id entry under
-// the threshold as (name, add-order id), with the shard's match count
-// (exact on posting shards; 1 for a plain shard's first hit, which stops
-// scanning there) and the postings visited.
-func (sh *dbShard) firstMatch(errorString *bitset.Set, qpos []uint32) (name string, id, matches, touched int) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.post == nil {
-		name, local, ok := sh.db.firstMatch(errorString)
-		if !ok {
-			return "", -1, 0, 0
-		}
-		return name, sh.ids[local], 1, 0
-	}
-	sc := ScorePostings(sh.view(), qpos, sh.db.threshold)
-	if sc.First < 0 {
-		return "", -1, 0, sc.Touched
-	}
-	return sh.db.entries[sc.First].Name, sh.ids[sc.First], sc.Matches, sc.Touched
-}
-
-// MergeVerdict folds one component's answer into the running cross-component
-// verdict: match counts accumulate and the (distance, id)-lexicographic
-// minimum wins — the single combination rule Decide, DecideCtx, and the
-// tiered storage engine's memtable+segment combine share, so neither tracing
-// nor flush timing can ever change an answer.
-func MergeVerdict(v *Verdict, sv Verdict) {
-	v.Matches += sv.Matches
-	if sv.Index < 0 {
-		return
-	}
-	if sv.Distance < v.Distance || (sv.Distance == v.Distance && (v.Index < 0 || sv.Index < v.Index)) {
-		v.Name, v.Index, v.Distance = sv.Name, sv.Index, sv.Distance
-	}
+// answer folds every shard into one Answer and records the decision. Under
+// a request span (obs.StartRequest) the fold records its shard.identify
+// spans and a decide span closes it; spans observe the fold, they never
+// reorder it, so every projection below answers identically traced or not.
+func (s *ShardedDB) answer(ctx context.Context, errorString *bitset.Set) Answer {
+	sp := obs.SpanFrom(ctx)
+	a := NewAnswer()
+	s.FoldInto(&a, errorString.Positions(), sp)
+	dsp := sp.Child("decide")
+	a.Record()
+	dsp.End()
+	return a
 }
 
 // Decide runs the full identification decision across all shards: the
 // (distance, id)-lexicographic best entry and the total sub-threshold match
 // count.
 func (s *ShardedDB) Decide(errorString *bitset.Set) Verdict {
-	v := s.DecideRaw(errorString)
-	recordVerdict(v)
-	return v
+	return s.answer(context.Background(), errorString).Verdict
 }
 
-// DecideRaw is Decide without the obs verdict counters, for callers (the
-// tiered storage engine) that merge this database's answer with other
-// components' before recording one decision.
-func (s *ShardedDB) DecideRaw(errorString *bitset.Set) Verdict {
-	qpos := s.positions(errorString)
-	v := Verdict{Index: -1, Distance: 2}
-	touched := 0
-	for _, sh := range s.shards {
-		sv, n := sh.decideRaw(errorString, qpos)
-		MergeVerdict(&v, sv)
-		touched += n
-	}
-	RecordTouched(touched)
-	return v
-}
-
-// FirstMatch is Identify without the obs counters: the minimum add-order id
-// under the threshold, for callers that merge first-match answers across
-// components.
-func (s *ShardedDB) FirstMatch(errorString *bitset.Set) (name string, index int, ok bool) {
-	name, index, _ = s.firstMatch(errorString)
-	return name, index, index >= 0
-}
-
-// firstMatch combines the shards' first matches: the minimum add-order id
-// wins, and matches sums the shards' match counts.
-func (s *ShardedDB) firstMatch(errorString *bitset.Set) (name string, index, matches int) {
-	qpos := s.positions(errorString)
-	index = -1
-	touched := 0
-	for _, sh := range s.shards {
-		n, id, m, t := sh.firstMatch(errorString, qpos)
-		matches += m
-		touched += t
-		if id >= 0 && (index < 0 || id < index) {
-			name, index = n, id
-		}
-	}
-	RecordTouched(touched)
-	return name, index, matches
-}
-
-// DecideCtx is Decide with request-scoped tracing: when ctx carries a
-// request span (obs.StartRequest), the shard fan-out records one
-// shard.identify child span per shard (with the postings it touched) and a
-// decide span around the cross-shard combine. The verdict is identical to
-// Decide's — spans observe the scan, they never reorder it.
+// DecideCtx is Decide under the request span ctx carries, if any.
 func (s *ShardedDB) DecideCtx(ctx context.Context, errorString *bitset.Set) Verdict {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return s.Decide(errorString)
-	}
-	qpos := s.positions(errorString)
-	svs := make([]Verdict, len(s.shards))
-	touched := 0
-	for i, sh := range s.shards {
-		sp := parent.Child("shard.identify")
-		sp.SetAttr("shard", i)
-		var n int
-		svs[i], n = sh.decideRaw(errorString, qpos)
-		sp.SetAttr("postings", n)
-		sp.End()
-		touched += n
-	}
-	dsp := parent.Child("decide")
-	v := Verdict{Index: -1, Distance: 2}
-	for _, sv := range svs {
-		MergeVerdict(&v, sv)
-	}
-	dsp.End()
-	RecordTouched(touched)
-	recordVerdict(v)
-	return v
+	return s.answer(ctx, errorString).Verdict
 }
 
-// Identify implements Algorithm 2 across the shards: every shard reports its
-// minimum-id match and the minimum add-order id wins — the entry the dense
-// scan in add order would have accepted. The obs ambiguity counter fires
-// when more than one entry matched (exact on posting shards; on plain
-// shards, which stop at their first hit, when hits surface from more than
-// one shard).
+// Identify implements Algorithm 2 across the shards: the minimum add-order
+// id under the threshold — the entry the dense scan in add order would have
+// accepted.
 func (s *ShardedDB) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	name, index, matches := s.firstMatch(errorString)
-	if obs.On() {
-		if index < 0 {
-			cIdentifyMiss.Inc()
-		} else {
-			cIdentifyHit.Inc()
-			if matches > 1 {
-				cIdentifyAmbig.Inc()
-			}
-		}
-	}
-	return name, index, index >= 0
-}
-
-// IdentifyBest returns the minimum-distance entry across all shards; see
-// Decide for the combination rule.
-func (s *ShardedDB) IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64) {
-	v := s.Decide(errorString)
-	return v.Name, v.Index, v.Distance
-}
-
-// ParallelIdentify runs Identify for every error string across a bounded
-// worker pool; see DB.ParallelIdentify for the determinism contract.
-func (s *ShardedDB) ParallelIdentify(errorStrings []*bitset.Set, workers int) []Match {
-	out := make([]Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := s.Identify(errorStrings[i])
-		out[i] = Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
-}
-
-// ParallelDecide runs Decide for every error string across a bounded worker
-// pool; each slot equals a serial Decide call.
-func (s *ShardedDB) ParallelDecide(errorStrings []*bitset.Set, workers int) []Verdict {
-	out := make([]Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		out[i] = s.Decide(errorStrings[i])
-	})
-	return out
-}
-
-// ParallelDecideCtx is ParallelDecide with per-query trace contexts: slot i
-// answers errorStrings[i] under ctxs[i] (nil or missing contexts fall back
-// untraced), so a coalesced batch records each originating request's shard
-// fan-out in that request's own span tree.
-func (s *ShardedDB) ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitset.Set, workers int) []Verdict {
-	out := make([]Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		out[i] = s.DecideCtx(ctx, errorStrings[i])
-	})
-	return out
+	a := s.answer(context.Background(), errorString)
+	return a.FirstName, a.FirstID, a.FirstID >= 0
 }
 
 // ShardStats summarizes the sharded database for the /v1/db endpoint.
 type ShardStats struct {
 	Entries  int   `json:"entries"`
 	PerShard []int `json:"per_shard"`
-	Indexed  bool  `json:"indexed"`
+	// Indexed is always true — every shard decides from posting lists — and
+	// stays on the wire for /v1/db clients.
+	Indexed bool `json:"indexed"`
 }
 
 // Stats returns the entry distribution across shards.
 func (s *ShardedDB) Stats() ShardStats {
-	st := ShardStats{PerShard: make([]int, len(s.shards)), Indexed: !s.cfg.Plain}
+	st := ShardStats{PerShard: make([]int, len(s.shards)), Indexed: true}
 	for i, sh := range s.shards {
 		sh.mu.RLock()
 		st.PerShard[i] = sh.db.Len()
@@ -634,6 +467,5 @@ func (s *ShardedDB) ExportIDs() []IDEntry {
 
 // String renders a small summary for logs.
 func (s *ShardedDB) String() string {
-	return fmt.Sprintf("shardeddb(entries=%d, shards=%d, indexed=%v)",
-		s.Len(), len(s.shards), !s.cfg.Plain)
+	return fmt.Sprintf("shardeddb(entries=%d, shards=%d)", s.Len(), len(s.shards))
 }

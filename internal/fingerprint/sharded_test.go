@@ -48,53 +48,38 @@ func buildEquivalent(t *testing.T, n int, cfg ShardedConfig) (*DB, *ShardedDB) {
 }
 
 // TestShardedMatchesPlainDB is the core equivalence property: for any shard
-// count, posting-indexed or plain shards, Decide/Identify/IdentifyBest agree with
-// the dense-scan DB on matching, missing, and near-miss queries.
+// count, the posting-indexed shards' Decide/Identify agree with the
+// dense-scan DB on matching, missing, and near-miss queries.
 func TestShardedMatchesPlainDB(t *testing.T) {
 	const entries = 60
 	for _, shards := range []int{1, 2, 7, 16} {
-		for _, mode := range []string{"indexed", "plain"} {
-			t.Run(fmt.Sprintf("shards=%d_%s", shards, mode), func(t *testing.T) {
-				cfg := ShardedConfig{Shards: shards, Plain: mode == "plain"}
-				db, sh := buildEquivalent(t, entries, cfg)
-				if sh.Len() != db.Len() {
-					t.Fatalf("Len: sharded %d, plain %d", sh.Len(), db.Len())
+		t.Run(fmt.Sprintf("shards=%d_indexed", shards), func(t *testing.T) {
+			db, sh := buildEquivalent(t, entries, ShardedConfig{Shards: shards})
+			if sh.Len() != db.Len() {
+				t.Fatalf("Len: sharded %d, plain %d", sh.Len(), db.Len())
+			}
+			var queries []*bitset.Set
+			for i := 0; i < entries; i += 3 {
+				fp, _ := db.Get(fmt.Sprintf("dev%03d", i))
+				queries = append(queries, noisyQuery(fp, uint64(i), 200))
+			}
+			for i := 0; i < 10; i++ {
+				queries = append(queries, testSet(0xF00D+uint64(i), 4096, 64))
+			}
+			for qi, q := range queries {
+				want := db.Decide(q)
+				got := sh.Decide(q)
+				if got != want {
+					t.Errorf("query %d: Decide sharded %+v, plain %+v", qi, got, want)
 				}
-				var queries []*bitset.Set
-				for i := 0; i < entries; i += 3 {
-					fp, _ := db.Get(fmt.Sprintf("dev%03d", i))
-					queries = append(queries, noisyQuery(fp, uint64(i), 200))
+				wn, wi, wok := db.Identify(q)
+				gn, gi, gok := sh.Identify(q)
+				if wn != gn || wi != gi || wok != gok {
+					t.Errorf("query %d: Identify sharded (%s,%d,%v), plain (%s,%d,%v)",
+						qi, gn, gi, gok, wn, wi, wok)
 				}
-				for i := 0; i < 10; i++ {
-					queries = append(queries, testSet(0xF00D+uint64(i), 4096, 64))
-				}
-				for qi, q := range queries {
-					want := db.Decide(q)
-					got := sh.Decide(q)
-					if got != want {
-						t.Errorf("query %d: Decide sharded %+v, plain %+v", qi, got, want)
-					}
-					wn, wi, wok := db.Identify(q)
-					gn, gi, gok := sh.Identify(q)
-					if wn != gn || wi != gi || wok != gok {
-						t.Errorf("query %d: Identify sharded (%s,%d,%v), plain (%s,%d,%v)",
-							qi, gn, gi, gok, wn, wi, wok)
-					}
-				}
-				// The batch APIs must agree slot-for-slot with the serial calls.
-				for i, v := range sh.ParallelDecide(queries, 4) {
-					if want := db.Decide(queries[i]); v != want {
-						t.Errorf("ParallelDecide[%d] = %+v, want %+v", i, v, want)
-					}
-				}
-				for i, m := range sh.ParallelIdentify(queries, 4) {
-					wn, wi, wok := db.Identify(queries[i])
-					if m.Name != wn || m.Index != wi || m.OK != wok {
-						t.Errorf("ParallelIdentify[%d] = %+v, want (%s,%d,%v)", i, m, wn, wi, wok)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -281,7 +266,6 @@ func TestShardedRemoveRebuild(t *testing.T) {
 // each Remove rebuilt the whole shard.
 func TestShardedRemoveTombstone(t *testing.T) {
 	for _, cfg := range []ShardedConfig{
-		{Shards: 1, Plain: true, RebuildMinDead: 4},
 		{Shards: 1, RebuildMinDead: 4},
 	} {
 		sh, err := NewShardedDB(DefaultThreshold, cfg)

@@ -105,12 +105,6 @@ func kernelDistance(r bitset.KernelResult) float64 {
 	return float64(r.Diff) / float64(r.MinCard)
 }
 
-// KernelDistance is kernelDistance for external verification backends (the
-// tiered store's mmap'd segments): the same integers, the same division,
-// bit-identical float64 — the contract that keeps segment verdicts equal to
-// in-memory ones.
-func KernelDistance(r bitset.KernelResult) float64 { return kernelDistance(r) }
-
 // pruned reports whether no entry of the block can sit under the threshold,
 // from the block's cached cardinalities and one sweep over its OR-union
 // (1/B of the words a full kernel pass reads).

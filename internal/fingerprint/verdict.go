@@ -34,8 +34,7 @@ func (v Verdict) OK() bool { return v.Matches >= 1 }
 func (v Verdict) Ambiguous() bool { return v.Matches >= 2 }
 
 // recordVerdict updates the shared identify hit/miss/ambiguous counters for
-// one decision. Callers that compose several raw scans (ShardedDB) record
-// exactly once per query.
+// one decision. A folded decision reaches it once, through Answer.Record.
 func recordVerdict(v Verdict) {
 	if !obs.On() {
 		return

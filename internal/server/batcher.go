@@ -9,6 +9,7 @@ import (
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/obs"
+	"probablecause/internal/pool"
 )
 
 // Batching metrics: dispatch count and the realized batch-size distribution
@@ -46,13 +47,14 @@ type pending struct {
 
 // batcher is the micro-batching dispatcher on the identify path. Requests
 // land in a bounded queue; a single dispatcher goroutine coalesces whatever
-// arrived within the window (up to maxBatch) into one batch and runs it
-// through the sharded database's ParallelDecide, amortizing dispatch
-// overhead across concurrent requests. Results are per-query and
-// order-independent, so coalescing never changes any verdict — only the
-// wall-clock (see the invariance tests).
+// arrived within the window (up to maxBatch) into one batch and decides its
+// queries across a pool of workers, each under its own request's context,
+// amortizing dispatch overhead across concurrent requests. Results are
+// per-query and order-independent, so coalescing never changes any verdict
+// — only the wall-clock (see the invariance tests).
 type batcher struct {
-	run      func([]context.Context, []*bitset.Set) []fingerprint.Verdict
+	decide   func(context.Context, *bitset.Set) fingerprint.Verdict
+	workers  int
 	window   time.Duration
 	maxBatch int
 	capacity int
@@ -65,8 +67,8 @@ type batcher struct {
 }
 
 // newBatcher starts the dispatcher goroutine. close() stops it.
-func newBatcher(capacity, maxBatch int, window time.Duration, run func([]context.Context, []*bitset.Set) []fingerprint.Verdict) *batcher {
-	b := &batcher{run: run, window: window, maxBatch: maxBatch, capacity: capacity, done: make(chan struct{})}
+func newBatcher(capacity, maxBatch int, window time.Duration, workers int, decide func(context.Context, *bitset.Set) fingerprint.Verdict) *batcher {
+	b := &batcher{decide: decide, workers: workers, window: window, maxBatch: maxBatch, capacity: capacity, done: make(chan struct{})}
 	b.cond = sync.NewCond(&b.mu)
 	go b.loop()
 	return b
@@ -133,11 +135,9 @@ func (b *batcher) loop() {
 		// span, re-parenting the query's context under it so the shard
 		// fan-out nests inside — one coalesced execution, N request-scoped
 		// span trees.
-		ess := make([]*bitset.Set, len(batch))
 		ctxs := make([]context.Context, len(batch))
 		bspans := make([]*obs.RSpan, len(batch))
 		for i, p := range batch {
-			ess[i] = p.es
 			ctxs[i] = p.ctx
 			p.qspan.End()
 			if span := obs.SpanFrom(p.ctx); span != nil {
@@ -146,7 +146,10 @@ func (b *batcher) loop() {
 				ctxs[i] = obs.ContextWithSpan(p.ctx, bspans[i])
 			}
 		}
-		verdicts := b.run(ctxs, ess)
+		verdicts := make([]fingerprint.Verdict, len(batch))
+		pool.Map(b.workers, len(batch), func(i int) {
+			verdicts[i] = b.decide(ctxs[i], batch[i].es)
+		})
 		for i, p := range batch {
 			bspans[i].End()
 			p.dspan = obs.SpanFrom(p.ctx).Child("deliver")

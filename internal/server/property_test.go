@@ -46,7 +46,7 @@ func checkVerdict(t *testing.T, label string, got, want fingerprint.Verdict) {
 }
 
 // TestServeInvariance is the serving-path determinism property: for any shard
-// count, any batch window, cache on or off, plain or posting shards, every
+// count, any batch window, cache on or off, every
 // verdict the batched+sharded+cached service returns equals the direct
 // fingerprint.DB.Decide dense scan — concurrency moves wall-clock only.
 func TestServeInvariance(t *testing.T) {
@@ -54,20 +54,19 @@ func TestServeInvariance(t *testing.T) {
 		shards int
 		window time.Duration
 		cache  int
-		plain  bool
 	}
 	combos := []combo{
-		{shards: 1, window: 0, cache: 0, plain: false},
-		{shards: 3, window: 0, cache: 128, plain: false},
-		{shards: 8, window: 2 * time.Millisecond, cache: 0, plain: true},
-		{shards: 5, window: 1 * time.Millisecond, cache: 64, plain: true},
-		{shards: 2, window: 500 * time.Microsecond, cache: 16, plain: false},
+		{shards: 1, window: 0, cache: 0},
+		{shards: 3, window: 0, cache: 128},
+		{shards: 8, window: 2 * time.Millisecond, cache: 0},
+		{shards: 5, window: 1 * time.Millisecond, cache: 64},
+		{shards: 2, window: 500 * time.Microsecond, cache: 16},
 	}
 	for ci, cb := range combos {
 		cb := cb
-		// The serving path has no sliced engine; the constant token keeps
-		// the subtest ids stable.
-		t.Run(fmt.Sprintf("shards=%d_window=%s_cache=%d_plain=%v_sliced=false", cb.shards, cb.window, cb.cache, cb.plain), func(t *testing.T) {
+		// The serving path has neither a plain nor a sliced engine; the
+		// constant tokens keep the subtest ids stable.
+		t.Run(fmt.Sprintf("shards=%d_window=%s_cache=%d_plain=false_sliced=false", cb.shards, cb.window, cb.cache), func(t *testing.T) {
 			t.Parallel()
 			seed := uint64(0x5EED0 + ci)
 			db := fixtureDB(24)
@@ -79,7 +78,6 @@ func TestServeInvariance(t *testing.T) {
 
 			s, err := New(db, Config{
 				Shards:      cb.shards,
-				Plain:       cb.plain,
 				Workers:     2,
 				BatchWindow: cb.window,
 				MaxBatch:    7, // forces multi-dispatch splits

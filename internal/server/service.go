@@ -10,8 +10,8 @@
 //     take per-shard RW locks, so registration traffic does not serialize
 //     identification traffic;
 //   - a micro-batching dispatcher (batcher): concurrent identify requests
-//     coalesce over a short window into one ParallelDecide batch, amortizing
-//     dispatch overhead;
+//     coalesce over a short window into one batch the worker pool decides,
+//     amortizing dispatch overhead;
 //   - an LRU result cache (verdictCache) keyed by the error string's SHA-256
 //     digest and invalidated generationally on every DB mutation;
 //   - production guards: bounded queue with 429 backpressure, per-request
@@ -52,9 +52,6 @@ type Config struct {
 	Threshold float64
 	// Shards is the database shard count; 0 selects fingerprint.DefaultShards.
 	Shards int
-	// Plain replaces the exact posting kernel with dense Algorithm 2/3
-	// scans on every shard and segment: the oracle configuration.
-	Plain bool
 	// Workers bounds the pool a dispatched batch fans across; 0 means one
 	// worker per CPU.
 	Workers int
@@ -91,9 +88,6 @@ type Config struct {
 	// the in-memory ShardedDB (the pre-tiering behavior); "tiered" puts the
 	// database behind mmap'd immutable segment files in Store.Dir.
 	Store store.Config
-	// BlockEntries sizes the bit-sliced blocks in tiered segment files; 0
-	// selects the bitset package default.
-	BlockEntries int
 	// Partition scopes the service to one partition of a partitioned
 	// cluster (partition.go); the zero value is unpartitioned.
 	Partition PartitionConfig
@@ -165,10 +159,7 @@ type Service struct {
 // only accepted into an empty store (BootDurable manages the combination).
 func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults(seed)
-	db, err := store.Open(cfg.Store, store.DBConfig{
-		Threshold: cfg.Threshold, Shards: cfg.Shards,
-		Plain: cfg.Plain, BlockEntries: cfg.BlockEntries,
-	})
+	db, err := store.Open(cfg.Store, store.DBConfig{Threshold: cfg.Threshold, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +195,7 @@ func New(seed *fingerprint.DB, cfg Config) (*Service, error) {
 		slowK = obs.DefaultSlowRing
 	}
 	s.slow = obs.NewSlowRing(slowK)
-	s.batch = newBatcher(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, func(ctxs []context.Context, ess []*bitset.Set) []fingerprint.Verdict {
-		return db.ParallelDecideCtx(ctxs, ess, cfg.Workers)
-	})
+	s.batch = newBatcher(cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, cfg.Workers, db.DecideCtx)
 	return s, nil
 }
 

@@ -74,7 +74,7 @@ func FuzzSegmentLoad(f *testing.F) {
 			return
 		}
 		defer seg.Close()
-		checkKernelMatchesSweep(t, seg)
+		checkKernelMatchesScan(t, seg, nil, fingerprint.DefaultThreshold)
 		// Whatever loaded must be internally consistent and, where it maps
 		// onto the original, identical to it. A salvage yields a prefix; a
 		// committed load yields everything (unless a flip landed in a
@@ -123,30 +123,37 @@ func postingsStart(tb testing.TB, blob []byte) int {
 	return int(ftr.postStart)
 }
 
-// checkKernelMatchesSweep holds a loaded segment's posting-kernel verdicts
-// to its dense block sweep on every entry's own fingerprint and on the empty
-// query: the two read paths share nothing but the columnar ids and names.
-func checkKernelMatchesSweep(t *testing.T, seg *Segment) {
+// checkKernelMatchesScan holds a loaded, untombstoned segment's posting
+// kernel to DB.Decide and DB.Identify over a DB built from seg.FP, which
+// decodes the block section: the two read paths share nothing but the
+// columnar ids and names. Beside the given queries it asks the empty query
+// and every entry's own fingerprint.
+func checkKernelMatchesScan(t *testing.T, seg *Segment, queries []*bitset.Set, thr float64) {
 	t.Helper()
 	if seg.Len() == 0 {
 		return
 	}
-	thr := fingerprint.DefaultThreshold
-	qs := []*bitset.Set{bitset.New(seg.Bits())}
+	db := fingerprint.NewDB(thr)
+	qs := append([]*bitset.Set{bitset.New(seg.Bits())}, queries...)
 	for i := 0; i < seg.Len(); i++ {
+		db.Add(seg.Name(i), seg.FP(i))
 		qs = append(qs, seg.FP(i))
 	}
 	for qi, q := range qs {
-		pos := q.Positions()
-		got, _ := seg.decideRaw(q, pos, thr, false)
-		want, _ := seg.decideRaw(q, pos, thr, true)
-		if got != want {
-			t.Fatalf("query %d: kernel %+v, sweep %+v", qi, got, want)
+		a := segAnswer(seg, q, thr)
+		want := db.Decide(q)
+		if want.Index >= 0 {
+			want.Index = seg.ID(want.Index)
 		}
-		gn, gi, _ := seg.firstMatch(q, pos, thr, false)
-		wn, wi, _ := seg.firstMatch(q, pos, thr, true)
-		if gn != wn || gi != wi {
-			t.Fatalf("query %d: kernel first (%s,%d), sweep (%s,%d)", qi, gn, gi, wn, wi)
+		if a.Verdict != want {
+			t.Fatalf("query %d: kernel %+v, scan %+v", qi, a.Verdict, want)
+		}
+		wn, wi, ok := db.Identify(q)
+		if ok {
+			wi = seg.ID(wi)
+		}
+		if a.FirstName != wn || a.FirstID != wi {
+			t.Fatalf("query %d: kernel first (%s,%d), scan (%s,%d)", qi, a.FirstName, a.FirstID, wn, wi)
 		}
 	}
 }
@@ -180,7 +187,7 @@ func TestFuzzSegmentLoadSmoke(t *testing.T) {
 				t.Fatalf("cut %d: salvaged entry %d diverges", cut, i)
 			}
 		}
-		checkKernelMatchesSweep(t, seg)
+		checkKernelMatchesScan(t, seg, nil, fingerprint.DefaultThreshold)
 		seg.Close()
 	}
 	// Every postings byte flipped under an intact footer: refused as

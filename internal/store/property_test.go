@@ -17,8 +17,8 @@ import (
 // never change an answer or an id.
 //
 // Equality follows the package contract: the full Verdict (including
-// Matches) is byte-identical on every configuration, posting kernel or
-// dense oracle. Reads run from a pool of goroutines at each checkpoint so
+// Matches) is byte-identical, and equals the paper's DB.Decide scan over the
+// live entries. Reads run from a pool of goroutines at each checkpoint so
 // the suite exercises concurrent access under -race.
 func TestTieredScanEquivalence(t *testing.T) {
 	const nbits = 1024
@@ -26,7 +26,6 @@ func TestTieredScanEquivalence(t *testing.T) {
 		name string
 		db   DBConfig
 	}{
-		{"plain", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, Plain: true, BlockEntries: 8}},
 		{"indexed", DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2, BlockEntries: 8}},
 	}
 	for _, cfg := range configs {
@@ -98,14 +97,20 @@ func runScanEquivalence(t *testing.T, dbCfg DBConfig, workers, nbits int) {
 		if msg, open := <-errs; open {
 			t.Fatal(msg)
 		}
-		// The batch paths agree with themselves and the oracle.
-		if len(queries) > 0 {
-			gvs := tiered.ParallelDecide(queries, workers)
-			wvs := oracle.ParallelDecide(queries, workers)
-			for i := range gvs {
-				if gvs[i] != wvs[i] {
-					t.Fatalf("step %d: ParallelDecide[%d] %+v != oracle %+v", step, i, gvs[i], wvs[i])
-				}
+		// Both backends equal the paper's scan over the live entries, with
+		// the DB index mapped to the entry's id.
+		live := tiered.ExportIDs()
+		scan := fingerprint.NewDB(dbCfg.Threshold)
+		for _, e := range live {
+			scan.Add(e.Name, e.FP)
+		}
+		for qi, q := range queries {
+			want := scan.Decide(q)
+			if want.Index >= 0 {
+				want.Index = live[want.Index].ID
+			}
+			if got := tiered.Decide(q); got != want {
+				t.Fatalf("step %d query %d: Decide %+v != DB scan %+v", step, qi, got, want)
 			}
 		}
 	}

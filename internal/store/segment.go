@@ -1,5 +1,5 @@
 // segment.go: the immutable PCSEG01 segment file — columnar encoding,
-// CRC-rooted load-time verification, and the per-segment query kernels.
+// CRC-rooted load-time verification, and the view the posting kernel folds.
 package store
 
 import (
@@ -28,8 +28,8 @@ import (
 //	                 record by record like a WAL segment
 //	columnar        : 8-aligned accelerator sections served straight from the
 //	                 mmap — ids, cardinalities, name table, name-sorted
-//	                 permutation, band-major sliced block words (the dense
-//	                 oracle sweep's layout, and the source of FP)
+//	                 permutation, band-major sliced block words (the
+//	                 source of FP)
 //	postings        : the exact kernel's inverted lists — the distinct set
 //	                 positions (ascending), nKeys+1 list offsets, and the
 //	                 concatenated lists of entry positions (each ascending)
@@ -822,63 +822,6 @@ func (seg *Segment) view() fingerprint.PostingView {
 		v.Dead = seg.dead
 	}
 	return v
-}
-
-// score answers a query over the segment in entry positions, exactly: from
-// the posting kernel over qpos (the query's set positions, ascending), or
-// with plain set from a dense sweep of the sliced blocks in id order — the
-// oracle configuration.
-func (seg *Segment) score(q *bitset.Set, qpos []uint32, threshold float64, plain bool) fingerprint.Score {
-	if !plain {
-		return fingerprint.ScorePostings(seg.view(), qpos, threshold)
-	}
-	sc := fingerprint.Score{Best: -1, Distance: 2, First: -1}
-	b := seg.blockEntries
-	var dst []bitset.KernelResult
-	for bi, blk := range seg.blocks {
-		dst = blk.MinCardAndNotCounts(q, dst)
-		for j, r := range dst {
-			pos := bi*b + j
-			if seg.dead[pos] {
-				continue
-			}
-			d := fingerprint.KernelDistance(r)
-			if d < threshold {
-				sc.Matches++
-				if sc.First < 0 {
-					sc.First = pos
-				}
-			}
-			if d < sc.Distance {
-				sc.Best, sc.Distance = pos, d
-			}
-		}
-	}
-	return sc
-}
-
-// firstMatch is Algorithm 2 over the segment: the minimum-id live entry
-// under the threshold, as (name, add-order id, -1 on a miss), with the
-// postings the kernel visited.
-func (seg *Segment) firstMatch(q *bitset.Set, qpos []uint32, threshold float64, plain bool) (name string, id, touched int) {
-	sc := seg.score(q, qpos, threshold, plain)
-	if sc.First < 0 {
-		return "", -1, sc.Touched
-	}
-	return seg.col.name(sc.First), seg.ID(sc.First), sc.Touched
-}
-
-// decideRaw is the full decision over the segment — the (distance,
-// id)-minimum live entry and the count of live entries under the threshold
-// — with Index carrying the add-order id, and the postings the kernel
-// visited.
-func (seg *Segment) decideRaw(q *bitset.Set, qpos []uint32, threshold float64, plain bool) (fingerprint.Verdict, int) {
-	sc := seg.score(q, qpos, threshold, plain)
-	v := fingerprint.Verdict{Index: -1, Distance: sc.Distance, Matches: sc.Matches}
-	if sc.Best >= 0 {
-		v.Name, v.Index = seg.col.name(sc.Best), seg.ID(sc.Best)
-	}
-	return v, sc.Touched
 }
 
 // exportLive appends the live entries (materialized) in id order.

@@ -61,8 +61,8 @@ func writeTestSegment(t *testing.T, entries []fingerprint.IDEntry) string {
 }
 
 // TestSegmentRoundTrip: write → load → every entry's id, name, and bits
-// survive, and the posting kernel and the dense sweep both return the full
-// verdict a plain DB computes over the same entries.
+// survive, and the posting kernel returns the full verdict a plain DB
+// computes over the same entries.
 func TestSegmentRoundTrip(t *testing.T) {
 	const n, nbits = 50, 2048
 	entries := testEntries(n, nbits)
@@ -87,7 +87,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	// Verdicts: a noisy same-device query must hit the right entry with the
-	// exact distance the scalar path computes, on both query paths.
+	// exact distance the scalar path computes.
 	thr := fingerprint.DefaultThreshold
 	checkSegmentAgainstScan(t, seg, entries, thr)
 	// Name lookup and tombstones.
@@ -98,52 +98,42 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if _, ok := seg.findName("dev007"); ok {
 		t.Fatal("tombstoned name still found")
 	}
-	for _, plain := range []bool{false, true} {
-		q := noisy(entries[7].FP, 7, 2)
-		if v, _ := seg.decideRaw(q, q.Positions(), thr, plain); v.OK() && v.Index == entries[7].ID {
-			t.Fatalf("plain=%v: tombstoned entry still matches: %+v", plain, v)
-		}
+	q := noisy(entries[7].FP, 7, 2)
+	if v := segAnswer(seg, q, thr).Verdict; v.OK() && v.Index == entries[7].ID {
+		t.Fatalf("tombstoned entry still matches: %+v", v)
 	}
 	if seg.Live() != n-1 {
 		t.Fatalf("Live = %d, want %d", seg.Live(), n-1)
 	}
 }
 
-// checkSegmentAgainstScan holds seg's posting-kernel and dense-sweep
-// verdicts to a dense DB.Decide over entries (seg holds exactly entries,
-// none tombstoned): same name, same id, same distance, same Matches.
+// segAnswer folds seg alone into an Answer — the tiered engine's
+// per-segment step.
+func segAnswer(seg *Segment, q *bitset.Set, thr float64) fingerprint.Answer {
+	a := fingerprint.NewAnswer()
+	a.Fold(seg.view(), seg.Name, q.Positions(), thr)
+	return a
+}
+
+// checkSegmentAgainstScan holds seg, which must hold exactly entries with
+// none tombstoned, to entries and to the paper's scan: every seg.FP equals
+// its entry's, and the posting kernel answers noisy, foreign and empty
+// queries as checkKernelMatchesScan requires.
 func checkSegmentAgainstScan(t *testing.T, seg *Segment, entries []fingerprint.IDEntry, thr float64) {
 	t.Helper()
-	db := fingerprint.NewDB(thr)
-	for _, e := range entries {
-		db.Add(e.Name, e.FP)
+	if seg.Len() != len(entries) {
+		t.Fatalf("segment holds %d entries, want %d", seg.Len(), len(entries))
 	}
 	nbits := entries[0].FP.Len()
 	var queries []*bitset.Set
-	for i := range entries {
-		queries = append(queries, noisy(entries[i].FP, uint64(i), 2))
-	}
-	queries = append(queries, testFP(0xABCDE, nbits, 40), bitset.New(nbits))
-	for qi, q := range queries {
-		want := db.Decide(q)
-		if want.Index >= 0 {
-			want.Index = entries[want.Index].ID
+	for i, e := range entries {
+		if !seg.FP(i).Equal(e.FP) {
+			t.Fatalf("entry %d: fingerprint diverged", i)
 		}
-		for _, plain := range []bool{false, true} {
-			got, _ := seg.decideRaw(q, q.Positions(), thr, plain)
-			if got != want {
-				t.Fatalf("query %d plain=%v: decide %+v, scan %+v", qi, plain, got, want)
-			}
-			name, id, _ := seg.firstMatch(q, q.Positions(), thr, plain)
-			wn, wi, wok := db.Identify(q)
-			if wok {
-				wi = entries[wi].ID
-			}
-			if name != wn || id != wi {
-				t.Fatalf("query %d plain=%v: firstMatch (%s,%d), scan (%s,%d)", qi, plain, name, id, wn, wi)
-			}
-		}
+		queries = append(queries, noisy(e.FP, uint64(i), 2))
 	}
+	queries = append(queries, testFP(0xABCDE, nbits, 40))
+	checkKernelMatchesScan(t, seg, queries, thr)
 }
 
 // TestSegmentVerify: a clean file verifies; flipped bytes anywhere in the

@@ -9,9 +9,10 @@
 //     immutable, mmap'd segment file (format PCSEG01 version 2, segment.go)
 //     carrying the per-entry error bitsets in the band-major sliced layout,
 //     the cached cardinalities, and the per-bit-position posting lists.
-//     Queries merge the memtable's verdict with per-segment verdicts the
-//     exact posting kernel computes straight off the mappings, so the hot
-//     path never materializes flushed fingerprints in heap. Segments
+//     A query folds every segment — the exact posting kernel reading
+//     straight off the mappings, so the hot path never materializes flushed
+//     fingerprints in heap — and the memtable's shards into one
+//     fingerprint.Answer. Segments
 //     accumulate until a compaction merges them (dropping tombstones); a
 //     JSON manifest committed by atomic rename is the engine's commit point.
 //
@@ -19,10 +20,10 @@
 // same Add/Remove sequence — under any flush or compaction timing — answers
 // Identify/Decide with the same (distance, id)-lexicographic winner, the
 // same stable add-order ids and the same Matches count as the Memory backend
-// built from that sequence: the full Verdict is byte-identical on every
-// configuration, because every tier decides exactly (posting kernel, or
-// dense sweep with DBConfig.Plain). The property suite in property_test.go
-// holds the engine to this under randomized interleavings and -race.
+// built from that sequence: the full Verdict is byte-identical, because
+// every tier decides exactly and Answer.Fold's merge rules are order-free.
+// The property suite in property_test.go holds the engine to this, and to
+// the fingerprint.DB scan, under randomized interleavings and -race.
 package store
 
 import (
@@ -33,8 +34,8 @@ import (
 	"probablecause/internal/fingerprint"
 )
 
-// Backend is the storage seam behind server.Service: the full mutation and
-// identification surface of fingerprint.ShardedDB plus lifecycle.
+// Backend is the storage seam behind server.Service: the mutation surface
+// of fingerprint.ShardedDB, its three query projections, and lifecycle.
 type Backend interface {
 	// Add registers a fingerprint and returns its stable add-order id.
 	Add(name string, fp *bitset.Set) int
@@ -55,13 +56,14 @@ type Backend interface {
 	// ExportIDs returns the live entries with their add-order ids.
 	ExportIDs() []fingerprint.IDEntry
 
+	// Identify is Algorithm 2's accept: the minimum-id entry under the
+	// threshold.
 	Identify(errorString *bitset.Set) (name string, index int, ok bool)
-	IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64)
+	// Decide is the full Verdict: the (distance, id)-minimum entry and the
+	// sub-threshold match count.
 	Decide(errorString *bitset.Set) fingerprint.Verdict
+	// DecideCtx is Decide under the request span ctx carries, if any.
 	DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict
-	ParallelIdentify(errorStrings []*bitset.Set, workers int) []fingerprint.Match
-	ParallelDecide(errorStrings []*bitset.Set, workers int) []fingerprint.Verdict
-	ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitset.Set, workers int) []fingerprint.Verdict
 
 	// Close releases the backend's resources (mappings, file handles).
 	Close() error
@@ -106,17 +108,13 @@ type SegmentSnapshotter interface {
 type DBConfig struct {
 	Threshold float64
 	Shards    int
-	// Plain selects dense-scan shards and dense segment sweeps instead of
-	// the posting kernel: the oracle configuration.
-	Plain bool
-	// BlockEntries sizes the sliced blocks segment files store (the dense
-	// sweep's layout and the source FP materializes from); 0 selects
-	// bitset.DefaultSlicedEntries.
+	// BlockEntries sizes the sliced blocks segment files store (the source
+	// FP materializes from); 0 selects bitset.DefaultSlicedEntries.
 	BlockEntries int
 }
 
 func (c DBConfig) newShardedDB() (*fingerprint.ShardedDB, error) {
-	return fingerprint.NewShardedDB(c.Threshold, fingerprint.ShardedConfig{Shards: c.Shards, Plain: c.Plain})
+	return fingerprint.NewShardedDB(c.Threshold, fingerprint.ShardedConfig{Shards: c.Shards})
 }
 
 // Config selects and parameterizes a backend.

@@ -17,7 +17,6 @@ import (
 	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
 	"probablecause/internal/obs"
-	"probablecause/internal/pool"
 )
 
 // Tiered is the LSM-shaped storage backend: an in-RAM memtable (a
@@ -27,13 +26,13 @@ import (
 // compaction merges adjacent segments (dropping tombstones) once the count
 // crosses Config.CompactSegments.
 //
-// Id discipline — the heart of the equivalence contract: a global id is
-// memBase + the memtable's local add-order id, and memBase advances by the
-// number of Adds the flushed memtable absorbed (not its live count), so ids
-// are a pure function of the Add sequence, independent of flush and
-// compaction timing. Segments always hold strictly older ids than the
-// memtable; earliest-added semantics (Get, Remove) therefore scan segments
-// first, in order.
+// Id discipline — the heart of the equivalence contract: every Add takes
+// the next global id (nextID, recovered from the manifest) and the memtable
+// holds it verbatim (ShardedDB.AddWithID), so ids are a pure function of
+// the Add sequence, independent of flush and compaction timing, and no id
+// offset crosses into the memtable. Segments always hold strictly older ids
+// than the memtable; earliest-added semantics (Get, Remove) therefore scan
+// segments first, in order.
 //
 // Locking: t.mu guards the tier topology (memtable pointer, segment list,
 // tombstone flags). Queries hold it in read mode for their whole scan —
@@ -45,8 +44,7 @@ type Tiered struct {
 
 	mu        sync.RWMutex
 	mem       *fingerprint.ShardedDB
-	memBase   int // global id of memtable-local id 0
-	memAdds   int // Adds absorbed by the current memtable
+	nextID    int // global id of the next Add
 	segs      []*Segment
 	tomb      map[int]bool // segment-entry ids removed (persisted at next commit)
 	watermark uint64
@@ -89,7 +87,7 @@ func OpenTiered(cfg Config, dbCfg DBConfig) (*Tiered, error) {
 	}
 	t := &Tiered{
 		cfg: cfg, dbCfg: dbCfg,
-		mem: mem, memBase: man.NextID, watermark: man.Watermark,
+		mem: mem, nextID: man.NextID, watermark: man.Watermark,
 		tomb: make(map[int]bool),
 	}
 	for _, id := range man.Tombstones {
@@ -157,11 +155,9 @@ func (t *Tiered) SegmentCount() int {
 // add-order id.
 func (t *Tiered) Add(name string, fp *bitset.Set) int {
 	t.mu.Lock()
-	local := t.mem.Add(name, fp)
-	id := t.memBase + local
-	if local+1 > t.memAdds {
-		t.memAdds = local + 1
-	}
+	id := t.nextID
+	t.nextID++
+	t.mem.AddWithID(id, name, fp)
 	t.gen.Add(1)
 	t.mu.Unlock()
 	return id
@@ -242,112 +238,44 @@ func (t *Tiered) NeedsFlush() bool {
 func (t *Tiered) TryStartFlush() bool { return t.flushReq.CompareAndSwap(false, true) }
 func (t *Tiered) EndFlush()           { t.flushReq.Store(false) }
 
-// Identify implements Algorithm 2 across the tiers: every tier reports its
-// first match and the minimum global id wins — exactly the in-memory
-// ShardedDB's cross-shard rule lifted to memtable+segments.
-func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	index = -1
+// answer folds every segment and the memtable into one Answer under the
+// topology read lock and records the decision — once, here, so a tiered
+// node counts its verdicts as the memory backend does. Answer.Fold's merge
+// rules are the sharded database's, lifted to memtable+segments, so flush
+// timing can never change an answer. Under a request span one store.decide
+// child times the fold.
+func (t *Tiered) answer(ctx context.Context, errorString *bitset.Set) fingerprint.Answer {
+	sp := obs.SpanFrom(ctx).Child("store.decide")
 	qpos := errorString.Positions()
-	touched := 0
-	for _, seg := range t.segs {
-		n, id, tc := seg.firstMatch(errorString, qpos, t.dbCfg.Threshold, t.dbCfg.Plain)
-		touched += tc
-		if id >= 0 && (index < 0 || id < index) {
-			name, index = n, id
-		}
-	}
-	fingerprint.RecordTouched(touched)
-	if n, local, hit := t.mem.FirstMatch(errorString); hit {
-		if id := t.memBase + local; index < 0 || id < index {
-			name, index = n, id
-		}
-	}
-	return name, index, index >= 0
-}
-
-// IdentifyBest returns the minimum-distance entry across the tiers.
-func (t *Tiered) IdentifyBest(errorString *bitset.Set) (name string, index int, dist float64) {
-	v := t.Decide(errorString)
-	return v.Name, v.Index, v.Distance
-}
-
-// Decide merges the memtable's verdict with every segment's through
-// fingerprint.MergeVerdict — the same (distance, id)-lexicographic rule the
-// sharded scan uses, so flush timing can never change an answer. Every tier
-// decides exactly, so the Matches count is the dense scan's.
-func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.decideLocked(errorString)
-}
-
-func (t *Tiered) decideLocked(errorString *bitset.Set) fingerprint.Verdict {
-	v := fingerprint.Verdict{Index: -1, Distance: 2}
-	qpos := errorString.Positions()
-	touched := 0
-	for _, seg := range t.segs {
-		sv, tc := seg.decideRaw(errorString, qpos, t.dbCfg.Threshold, t.dbCfg.Plain)
-		fingerprint.MergeVerdict(&v, sv)
-		touched += tc
-	}
-	fingerprint.RecordTouched(touched)
-	mv := t.mem.DecideRaw(errorString)
-	if mv.Index >= 0 {
-		mv.Index += t.memBase
-	}
-	fingerprint.MergeVerdict(&v, mv)
-	return v
-}
-
-// DecideCtx is Decide under a request span: one store.decide child records
-// the tier fan-out; the verdict is identical to Decide's.
-func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return t.Decide(errorString)
-	}
-	sp := parent.Child("store.decide")
+	a := fingerprint.NewAnswer()
 	t.mu.RLock()
 	sp.SetAttr("segments", len(t.segs))
-	v := t.decideLocked(errorString)
+	for _, seg := range t.segs {
+		a.Fold(seg.view(), seg.Name, qpos, t.dbCfg.Threshold)
+	}
+	t.mem.FoldInto(&a, qpos, nil)
 	t.mu.RUnlock()
 	sp.End()
-	return v
+	a.Record()
+	return a
 }
 
-// ParallelIdentify runs Identify across a bounded worker pool; see
-// fingerprint.DB.ParallelIdentify for the determinism contract.
-func (t *Tiered) ParallelIdentify(errorStrings []*bitset.Set, workers int) []fingerprint.Match {
-	out := make([]fingerprint.Match, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		name, idx, ok := t.Identify(errorStrings[i])
-		out[i] = fingerprint.Match{Name: name, Index: idx, OK: ok}
-	})
-	return out
+// Identify implements Algorithm 2 across the tiers: the minimum global id
+// under the threshold.
+func (t *Tiered) Identify(errorString *bitset.Set) (name string, index int, ok bool) {
+	a := t.answer(context.Background(), errorString)
+	return a.FirstName, a.FirstID, a.FirstID >= 0
 }
 
-// ParallelDecide runs Decide across a bounded worker pool.
-func (t *Tiered) ParallelDecide(errorStrings []*bitset.Set, workers int) []fingerprint.Verdict {
-	out := make([]fingerprint.Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		out[i] = t.Decide(errorStrings[i])
-	})
-	return out
+// Decide is the full Verdict across the tiers; every tier decides exactly,
+// so the Matches count is the dense scan's.
+func (t *Tiered) Decide(errorString *bitset.Set) fingerprint.Verdict {
+	return t.answer(context.Background(), errorString).Verdict
 }
 
-// ParallelDecideCtx is ParallelDecide with per-query trace contexts.
-func (t *Tiered) ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitset.Set, workers int) []fingerprint.Verdict {
-	out := make([]fingerprint.Verdict, len(errorStrings))
-	pool.Map(workers, len(errorStrings), func(i int) {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		out[i] = t.DecideCtx(ctx, errorStrings[i])
-	})
-	return out
+// DecideCtx is Decide under the request span ctx carries, if any.
+func (t *Tiered) DecideCtx(ctx context.Context, errorString *bitset.Set) fingerprint.Verdict {
+	return t.answer(ctx, errorString).Verdict
 }
 
 // ExportIDs returns the live entries with their global ids, in id order —
@@ -356,19 +284,11 @@ func (t *Tiered) ParallelDecideCtx(ctxs []context.Context, errorStrings []*bitse
 func (t *Tiered) ExportIDs() []fingerprint.IDEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.exportLocked()
-}
-
-func (t *Tiered) exportLocked() []fingerprint.IDEntry {
 	var out []fingerprint.IDEntry
 	for _, seg := range t.segs {
 		out = seg.exportLive(out)
 	}
-	for _, e := range t.mem.ExportIDs() {
-		e.ID += t.memBase
-		out = append(out, e)
-	}
-	return out
+	return append(out, t.mem.ExportIDs()...)
 }
 
 // Export reassembles a plain DB of the live entries in add order.
@@ -411,9 +331,6 @@ func (t *Tiered) Flush() error {
 
 func (t *Tiered) flushLocked(watermark uint64) error {
 	entries := t.mem.ExportIDs()
-	for i := range entries {
-		entries[i].ID += t.memBase
-	}
 	newSegs := t.segs
 	var newFile string
 	if len(entries) > 0 {
@@ -429,7 +346,7 @@ func (t *Tiered) flushLocked(watermark uint64) error {
 		}
 		newSegs = append(append([]*Segment(nil), t.segs...), seg)
 	}
-	man := t.manifestFor(newSegs, watermark, t.memBase+t.memAdds)
+	man := t.manifestFor(newSegs, watermark, t.nextID)
 	if err := commitManifest(t.cfg.Dir, man); err != nil {
 		return err
 	}
@@ -437,8 +354,6 @@ func (t *Tiered) flushLocked(watermark uint64) error {
 	// Committed: swap in the new tier topology and reset the memtable.
 	t.segs = newSegs
 	t.watermark = watermark
-	t.memBase += t.memAdds
-	t.memAdds = 0
 	if len(entries) > 0 {
 		t.nextSeg++
 	}
@@ -499,7 +414,7 @@ func (t *Tiered) compactOnceLocked() error {
 			}
 		}
 	}
-	if err := commitManifest(t.cfg.Dir, t.manifestFor(newSegs, t.watermark, t.memBase+t.memAdds)); err != nil {
+	if err := commitManifest(t.cfg.Dir, t.manifestFor(newSegs, t.watermark, t.nextID)); err != nil {
 		return err
 	}
 	t.crash("compact-after-commit")
@@ -560,7 +475,7 @@ func (t *Tiered) FPBits() int {
 func (t *Tiered) SnapshotFiles() (manifestBytes []byte, paths []string, watermark uint64, release func(), err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	man := t.manifestFor(t.segs, t.watermark, t.memBase+t.memAdds)
+	man := t.manifestFor(t.segs, t.watermark, t.nextID)
 	blob, err := json.Marshal(man)
 	if err != nil {
 		return nil, nil, 0, nil, fmt.Errorf("store: encoding snapshot manifest: %w", err)

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"probablecause/internal/bitset"
 	"probablecause/internal/fingerprint"
+	"probablecause/internal/obs"
 )
 
 func openTestTiered(t *testing.T, dir string, compact int) *Tiered {
@@ -301,5 +304,60 @@ func TestTieredGenerationStability(t *testing.T) {
 	}
 	if got := tb.Generation(); got != gen+6 {
 		t.Fatalf("generation = %d after remove, want %d", got, gen+6)
+	}
+}
+
+// TestBackendsCountVerdicts: with obs on, a hit, a miss and an ambiguous
+// query move fingerprint.identify.hit/miss/ambiguous identically on the
+// memory and tiered backends — each Decide, DecideCtx and Identify counted
+// exactly once. The tiered twins straddle the segment/memtable boundary, so
+// the ambiguity is only visible to the merged answer.
+func TestBackendsCountVerdicts(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	const nbits = 1024
+	twin, other := testFP(0x7171, nbits, 40), testFP(0x0770, nbits, 40)
+	queries := []*bitset.Set{noisy(other, 1, 2), testFP(0x3155, nbits, 40), noisy(twin, 2, 2)}
+	counters := func() [3]int64 {
+		return [3]int64{
+			obs.C("fingerprint.identify.hit").Value(),
+			obs.C("fingerprint.identify.miss").Value(),
+			obs.C("fingerprint.identify.ambiguous").Value(),
+		}
+	}
+	dbCfg := DBConfig{Threshold: fingerprint.DefaultThreshold, Shards: 2}
+	mem, err := OpenMemory(dbCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := OpenTiered(Config{Dir: t.TempDir()}, dbCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiered.Close()
+	for _, b := range []Backend{mem, tiered} {
+		b.Add("twinA", twin)
+		b.Add("other", other)
+	}
+	if err := tiered.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var deltas [][3]int64
+	for _, b := range []Backend{mem, tiered} {
+		b.Add("twinB", twin.Clone())
+		before := counters()
+		for _, q := range queries {
+			b.Decide(q)
+			b.DecideCtx(context.Background(), q)
+			b.Identify(q)
+		}
+		after := counters()
+		deltas = append(deltas, [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]})
+	}
+	// Per call: the hit and the ambiguous query count as hits, the miss as
+	// a miss, the ambiguous query also as ambiguous.
+	want := [3]int64{6, 3, 3}
+	if deltas[0] != want || deltas[1] != want {
+		t.Fatalf("(hit, miss, ambiguous) deltas: memory %v, tiered %v, want %v for both", deltas[0], deltas[1], want)
 	}
 }
